@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -20,7 +19,7 @@ from .core import (
     load_dataset,
     write_raw_scores,
 )
-from .preprocess import PreprocessConfig, config_grid, preprocess
+from .preprocess import PreprocessConfig, TokenSequence, preprocess, token_tables
 from .stats import DegenerateDataError, harmonic, pearson, spearman
 
 
@@ -28,17 +27,20 @@ class PlanError(ValueError):
     """Invalid benchmark plan or unresolvable resource."""
 
 
-STRING_MEASURES = ("qgram", "jaccard", "block", "liblock", "levenshtein", "overlap")
-ONTOLOGY_MEASURES = ("wbsm-rada", "wbsm-jc", "ubsm-rada", "ubsm-jc", "com")
+# measure id -> kernel name in ``strsim``, looked up when a scorer is built so
+# that a kernel replaced on the module (by a profiler, say) is the one called
+STRING_KERNELS = {"qgram": "qgram_sim", "jaccard": "jaccard_sim", "block": "block_distance_sim",
+                  "liblock": "liblock_sim", "levenshtein": "levenshtein_sim", "overlap": "overlap_sim"}
+STRING_MEASURES = tuple(STRING_KERNELS)
+# ontology measure id -> NER modes of the token views it reads
+ONTOLOGY_VIEWS = {"wbsm-rada": ("none",), "wbsm-jc": ("none",), "ubsm-rada": ("annotations",),
+                  "ubsm-jc": ("annotations",), "com": ("none", "annotations")}
 SWEM_PREFIX = "swem:"
 
 
 def known_measure(measure_id: str) -> bool:
-    return (
-        measure_id in STRING_MEASURES
-        or measure_id in ONTOLOGY_MEASURES
-        or (measure_id.startswith(SWEM_PREFIX) and measure_id[len(SWEM_PREFIX):] in vecsim.POOLING_MODES)
-    )
+    return (measure_id in STRING_KERNELS or measure_id in ONTOLOGY_VIEWS
+            or (measure_id.startswith(SWEM_PREFIX) and measure_id[len(SWEM_PREFIX):] in vecsim.POOLING_MODES))
 
 
 @dataclass
@@ -51,11 +53,14 @@ class Resources:
 
 
 class PairScorer:
-    """Scores raw sentence pairs for one (measure, preprocessing) choice.
+    """Scores sentence pairs for one (measure, pre-processing) choice.
 
-    Pre-processed token sequences are cached per sentence so grids over
-    many measures do not re-tokenize; the cache is verified against fresh
-    recomputation in the test suite.
+    ``views`` are the configs whose token sequences the measure reads: the
+    scorer's own config, or its word and concept variants for the ontology
+    measures (both for ``com``). ``score_tokens`` takes each side's tokens,
+    a tuple with one sequence per view when there are several; ``score``
+    pre-processes raw sentences first. String measures follow the
+    empty-input rule of :func:`strsim.with_empty_rule`.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -64,22 +69,21 @@ class PairScorer:
         self.measure_id = measure_id
         self.config = config
         self.resources = resources
-        self.signed = measure_id.startswith(SWEM_PREFIX)
-        self._cache: dict[tuple[RawSentence, PreprocessConfig], tuple[str, ...]] = {}
         self._word_measures: dict[str, ontosim.WordSimMeasure] = {}
         if measure_id.startswith(SWEM_PREFIX) and resources.vectors is None:
             raise PlanError(f"measure {measure_id!r} requires a word-vector model")
-        if measure_id in ONTOLOGY_MEASURES and (resources.taxonomy is None or resources.lexicon is None):
+        if measure_id in ONTOLOGY_VIEWS and (resources.taxonomy is None or resources.lexicon is None):
             raise PlanError(f"measure {measure_id!r} requires a taxonomy and lexicon")
-
-    def _tokens(self, sentence: RawSentence, config: PreprocessConfig) -> tuple[str, ...]:
-        key = (sentence, config)
-        if key not in self._cache:
-            self._cache[key] = preprocess(sentence, config)
-        return self._cache[key]
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
+        self.views: tuple[PreprocessConfig, ...] = (config,)
+        if measure_id in STRING_KERNELS:
+            self.score_tokens = strsim.with_empty_rule(getattr(strsim, STRING_KERNELS[measure_id]))
+        elif measure_id.startswith(SWEM_PREFIX):
+            mode = measure_id[len(SWEM_PREFIX):]
+            self.score_tokens = lambda t1, t2: vecsim.rescale_signed(
+                vecsim.swem_sim(t1, t2, resources.vectors, mode))
+        else:
+            self.views = tuple(replace(config, ner=ner) for ner in ONTOLOGY_VIEWS[measure_id])
+            self.score_tokens = self._score_ontology
 
     def _word_measure(self, kind: str) -> ontosim.WordSimMeasure:
         if kind not in self._word_measures:
@@ -87,41 +91,19 @@ class PairScorer:
                 kind, self.resources.taxonomy, self.resources.lexicon)
         return self._word_measures[kind]
 
-    def score(self, s1: RawSentence, s2: RawSentence) -> float:
-        mid = self.measure_id
-        if mid in ONTOLOGY_MEASURES:
-            return self._score_ontology(s1, s2)
-        t1 = self._tokens(s1, self.config)
-        t2 = self._tokens(s2, self.config)
-        if mid == "qgram":
-            return strsim.qgram_sim(t1, t2)
-        if mid == "jaccard":
-            return strsim.jaccard_sim(t1, t2)
-        if mid == "block":
-            return strsim.block_distance_sim(t1, t2)
-        if mid == "liblock":
-            return strsim.liblock_sim(t1, t2)
-        if mid == "levenshtein":
-            return strsim.levenshtein_sim(t1, t2)
-        if mid == "overlap":
-            return strsim.overlap_sim(t1, t2)
-        mode = mid[len(SWEM_PREFIX):]
-        raw = vecsim.swem_sim(t1, t2, self.resources.vectors, mode)
-        return vecsim.rescale_signed(raw)
+    def _side(self, sentence: RawSentence):
+        tokens = tuple(preprocess(sentence, view) for view in self.views)
+        return tokens if len(tokens) > 1 else tokens[0]
 
-    def _score_ontology(self, s1: RawSentence, s2: RawSentence) -> float:
-        mid = self.measure_id
-        word_cfg = replace(self.config, ner="none")
-        concept_cfg = replace(self.config, ner="annotations")
-        if mid == "com":
+    def score(self, s1: RawSentence, s2: RawSentence) -> float:
+        return self.score_tokens(self._side(s1), self._side(s2))
+
+    def _score_ontology(self, a, b) -> float:
+        if self.measure_id == "com":
             rada = self._word_measure("rada")
-            w = ontosim.wbsm(self._tokens(s1, word_cfg), self._tokens(s2, word_cfg), rada)
-            u = ontosim.ubsm(self._tokens(s1, concept_cfg), self._tokens(s2, concept_cfg), rada)
-            return ontosim.com(w, u)
-        family, kind = mid.split("-")
-        measure = self._word_measure("rada" if kind == "rada" else "jiang-conrath")
-        cfg = word_cfg if family == "wbsm" else concept_cfg
-        return ontosim.wbsm(self._tokens(s1, cfg), self._tokens(s2, cfg), measure)
+            return ontosim.com(ontosim.wbsm(a[0], b[0], rada), ontosim.ubsm(a[1], b[1], rada))
+        kind = self.measure_id.split("-")[1]
+        return ontosim.wbsm(a, b, self._word_measure("rada" if kind == "rada" else "jiang-conrath"))
 
 
 @dataclass
@@ -135,22 +117,17 @@ class BenchmarkPlan:
     datasets: dict[str, Path]
     measures: list[MeasureSpec]
     out_dir: Path = Path("results")
-    threads: int = 1
     vectors: Path | None = None
     taxonomy: Path | None = None
     lexicon: Path | None = None
     annotations: dict[str, Path] = field(default_factory=dict)
 
 
-def _effective_threads(plan: BenchmarkPlan) -> int:
-    env = os.environ.get("STSBENCH_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, plan.threads)
+def validate_plan(plan: BenchmarkPlan) -> list[PairScorer]:
+    """Fail-fast resolution of every named resource in the plan.
 
-
-def validate_plan(plan: BenchmarkPlan) -> Resources:
-    """Fail-fast resolution of every named resource in the plan."""
+    Returns one scorer per (measure, config), in plan order.
+    """
     if not plan.datasets:
         raise PlanError("plan names no datasets")
     if not plan.measures:
@@ -168,10 +145,9 @@ def validate_plan(plan: BenchmarkPlan) -> Resources:
         if not known_measure(spec.measure_id):
             raise PlanError(f"unknown measure id {spec.measure_id!r}")
         for cfg in spec.configs:
-            key = (spec.measure_id, cfg)
-            if key in seen:
+            if (spec.measure_id, cfg) in seen:
                 raise PlanError(f"duplicate measure entry {spec.measure_id!r} ({cfg.label()})")
-            seen.add(key)
+            seen.add((spec.measure_id, cfg))
     resources = Resources()
     if plan.vectors is not None:
         resources.vectors = vecsim.load_vectors(plan.vectors)
@@ -180,10 +156,7 @@ def validate_plan(plan: BenchmarkPlan) -> Resources:
     if plan.lexicon is not None:
         resources.lexicon = ontosim.load_lexicon(plan.lexicon)
     # constructing a scorer re-checks per-measure resource requirements
-    for spec in plan.measures:
-        for cfg in spec.configs:
-            PairScorer(spec.measure_id, cfg, resources)
-    return resources
+    return [PairScorer(spec.measure_id, cfg, resources) for spec in plan.measures for cfg in spec.configs]
 
 
 def load_plan_datasets(plan: BenchmarkPlan) -> dict[str, Dataset]:
@@ -196,24 +169,50 @@ def load_plan_datasets(plan: BenchmarkPlan) -> dict[str, Dataset]:
     return datasets
 
 
-def score_dataset(scorer: PairScorer, dataset: Dataset, threads: int = 1) -> BenchmarkRun:
-    """Score every pair of a dataset; deterministic for any thread count."""
+def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[int, BenchmarkRun]]:
+    """Score a dataset with every scorer; yields (scorer index, run).
 
-    def one(indexed):
-        i, pair = indexed
-        try:
-            return scorer.score(pair.s1, pair.s2)
-        except Exception as exc:
-            raise RuntimeError(
-                f"{scorer.measure_id} failed on pair {i} of {dataset.name!r}: {exc}") from exc
+    Each distinct sentence is pre-processed once per config
+    (:func:`token_tables`, in grid order) and every scorer reading that
+    config scores from the same table. A table is dropped as soon as no
+    pending scorer needs it.
+    """
+    ids: dict[RawSentence, int] = {}
+    pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
+    pending = dict(enumerate(scorers))
+    tables: dict[PreprocessConfig, list[TokenSequence]] = {}
+    for cfg, table in token_tables(list(ids), {v for s in scorers for v in s.views}):
+        tables[cfg] = table
+        for k, scorer in list(pending.items()):
+            if all(v in tables for v in scorer.views):
+                del pending[k]
+                yield k, _score_pairs(scorer, dataset.name, [tables[v] for v in scorer.views], pairs)
+        needed = {v for s in pending.values() for v in s.views}
+        tables = {v: t for v, t in tables.items() if v in needed}
 
-    items = list(enumerate(dataset.pairs))
-    if threads <= 1:
-        scores = [one(it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(one, items))
-    return BenchmarkRun(dataset.name, scorer.measure_id, scorer.config.label(), tuple(scores))
+
+def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]],
+                 pairs: list[tuple[int, int]]) -> BenchmarkRun:
+    table = views[0] if len(views) == 1 else list(zip(*views))
+    score = scorer.score_tokens
+    scores: list[float] = []
+    try:
+        for a, b in pairs:
+            scores.append(score(table[a], table[b]))
+    except Exception as exc:
+        raise RuntimeError(
+            f"{scorer.measure_id} failed on pair {len(scores)} of {name!r}: {exc}") from exc
+    if scorer.measure_id in STRING_KERNELS:
+        empty = sum(1 for a, b in pairs if not table[a] or not table[b])
+        if empty:
+            warnings.warn(f"{scorer.measure_id} on {name!r} ({scorer.config.label()}): {empty} "
+                          "pair(s) with an empty token sequence scored by the empty-input rule")
+    return BenchmarkRun(name, scorer.measure_id, scorer.config.label(), tuple(scores))
+
+
+def score_dataset(scorer: PairScorer, dataset: Dataset) -> BenchmarkRun:
+    """Score every pair of a dataset with one scorer."""
+    return next(score_runs([scorer], dataset))[1]
 
 
 @dataclass(frozen=True)
@@ -237,11 +236,7 @@ class EvalReport:
         return sum(hs) / len(hs)
 
     def configs_for(self, measure_id: str) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.measure_id == measure_id and row.config not in seen:
-                seen.append(row.config)
-        return seen
+        return list(dict.fromkeys(row.config for row in self.rows if row.measure_id == measure_id))
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
@@ -284,46 +279,35 @@ def _run_file_name(run: BenchmarkRun) -> str:
     return f"{run.dataset_name}__{run.measure_id.replace(':', '-')}__{safe_cfg}.csv"
 
 
+def _report_row(result: BenchmarkRun, human: list[float]) -> ReportRow:
+    try:
+        r = pearson(result.scores, human)
+        rho = spearman(result.scores, human)
+        h = harmonic(r, rho)
+    except DegenerateDataError as exc:
+        warnings.warn(f"{result.measure_id} on {result.dataset_name!r} "
+                      f"({result.preprocess_config}): {exc}; reporting nan")
+        r = rho = h = float("nan")
+    return ReportRow(result.dataset_name, result.measure_id, result.preprocess_config, r, rho, h)
+
+
 def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
-    """Execute a validated plan: score, persist raw CSVs, build the report."""
-    resources = validate_plan(plan)
+    """Execute a validated plan: score, persist raw CSVs, build the report.
+
+    Runs and report rows come in plan order: measure, config, dataset.
+    """
+    scorers = validate_plan(plan)
     datasets = load_plan_datasets(plan)
-    threads = _effective_threads(plan)
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs: list[BenchmarkRun] = []
-    rows: list[ReportRow] = []
-    for spec in plan.measures:
-        for cfg in spec.configs:
-            scorer = PairScorer(spec.measure_id, cfg, resources)
-            for name, dataset in datasets.items():
-                result = score_dataset(scorer, dataset, threads)
-                write_raw_scores(result, out_dir / _run_file_name(result))
-                try:
-                    r = pearson(result.scores, dataset.human_scores())
-                    rho = spearman(result.scores, dataset.human_scores())
-                    h = harmonic(r, rho)
-                except DegenerateDataError as exc:
-                    warnings.warn(f"{spec.measure_id} on {name!r} ({cfg.label()}): {exc}; "
-                                  "reporting nan")
-                    r = rho = h = float("nan")
-                rows.append(ReportRow(name, spec.measure_id, cfg.label(), r, rho, h))
-                runs.append(result)
-    return runs, EvalReport(rows)
-
-
-def grid_specs(measure_id: str, ner: str = "none") -> MeasureSpec:
-    """A measure paired with the full 48-point pre-processing grid."""
-    grid = config_grid(
-        {
-            "ner": [ner],
-            "tokenizer": ["whitespace", "treebank-rules"],
-            "lowercase": [True, False],
-            "char_filter": ["none", "default", "biosses", "blagec2019"],
-            "stopwords": ["none", "biosses", "nltk2018"],
-        }
-    )
-    return MeasureSpec(measure_id, grid)
+    done: dict[tuple[int, str], tuple[BenchmarkRun, ReportRow]] = {}
+    for name, dataset in datasets.items():
+        human = dataset.human_scores()
+        for k, result in score_runs(scorers, dataset):
+            write_raw_scores(result, out_dir / _run_file_name(result))
+            done[k, name] = result, _report_row(result, human)
+    ordered = [done[k, name] for k in range(len(scorers)) for name in datasets]
+    return [result for result, _ in ordered], EvalReport([row for _, row in ordered])
 
 
 def throughput(scorer: PairScorer, dataset: Dataset, repeats: int = 3) -> float:
@@ -332,9 +316,7 @@ def throughput(scorer: PairScorer, dataset: Dataset, repeats: int = 3) -> float:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
     times = []
     for _ in range(repeats):
-        scorer.clear_cache()
         start = time.perf_counter()
-        for pair in dataset.pairs:
-            scorer.score(pair.s1, pair.s2)
+        score_dataset(scorer, dataset)
         times.append(time.perf_counter() - start)
     return len(dataset) / median(times)

@@ -17,12 +17,14 @@ override plan entries.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench, stats
-from .bench import BenchmarkPlan, MeasureSpec, PairScorer, PlanError
-from .preprocess import PreprocessConfig
+from .bench import BenchmarkPlan, MeasureSpec, PlanError
+from .preprocess import CHAR_FILTERS, NER_MODES, STOPWORD_LISTS, TOKENIZERS, PreprocessConfig, full_grid
 
 
 def _parse_bool(value: str) -> bool:
@@ -43,11 +45,7 @@ def _config_from_items(items: dict[str, str], base: PreprocessConfig | None = No
         if key not in _CONFIG_KEYS:
             raise PlanError(f"unknown pre-processing option {key!r}")
         kwargs[key] = _parse_bool(value) if key == "lowercase" else value
-    if base is not None:
-        merged = {k: getattr(base, k) for k in _CONFIG_KEYS}
-        merged.update(kwargs)
-        kwargs = merged
-    return PreprocessConfig(**kwargs)
+    return PreprocessConfig(**kwargs) if base is None else replace(base, **kwargs)
 
 
 def _parse_measure_entry(entry: str, base: PreprocessConfig) -> MeasureSpec:
@@ -102,12 +100,11 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taxonomy", help="taxonomy edge file (child<TAB>parent)")
     p.add_argument("--lexicon", help="surface-form lexicon file")
     p.add_argument("--out", help="output directory (default: results)")
-    p.add_argument("--threads", type=int, help="worker threads (STSBENCH_THREADS overrides)")
-    p.add_argument("--ner", choices=("none", "annotations"))
-    p.add_argument("--tokenizer", choices=("whitespace", "treebank-rules"))
+    p.add_argument("--ner", choices=NER_MODES)
+    p.add_argument("--tokenizer", choices=TOKENIZERS)
     p.add_argument("--lowercase", choices=("yes", "no"))
-    p.add_argument("--char-filter", choices=("none", "default", "biosses", "blagec2019"))
-    p.add_argument("--stopwords", choices=("none", "biosses", "nltk2018"))
+    p.add_argument("--char-filter", choices=CHAR_FILTERS)
+    p.add_argument("--stopwords", choices=STOPWORD_LISTS)
 
 
 def _split_name_path(values: list[str], flag: str) -> dict[str, str]:
@@ -143,27 +140,19 @@ def build_plan(args: argparse.Namespace, grid: bool = False) -> BenchmarkPlan:
     for entry in measure_entries:
         spec = _parse_measure_entry(entry, base)
         if grid:
-            spec = bench.grid_specs(spec.measure_id, ner=base.ner)
+            spec = MeasureSpec(spec.measure_id, full_grid(ner=base.ner))
         specs.append(spec)
 
-    def opt(flag_name, plan_key):
-        v = getattr(args, flag_name, None)
-        return v if v is not None else options.get(plan_key)
+    def opt(key):
+        v = getattr(args, key, None)
+        return v if v is not None else options.get(key)
 
-    vectors = opt("vectors", "vectors")
-    taxonomy = opt("taxonomy", "taxonomy")
-    lexicon = opt("lexicon", "lexicon")
-    out = opt("out", "out") or "results"
-    threads = opt("threads", "threads") or 1
     return BenchmarkPlan(
         datasets={k: Path(v) for k, v in datasets.items()},
         measures=specs,
-        out_dir=Path(out),
-        threads=int(threads),
-        vectors=Path(vectors) if vectors else None,
-        taxonomy=Path(taxonomy) if taxonomy else None,
-        lexicon=Path(lexicon) if lexicon else None,
+        out_dir=Path(opt("out") or "results"),
         annotations={k: Path(v) for k, v in annotations.items()},
+        **{k: Path(opt(k)) if opt(k) else None for k in ("vectors", "taxonomy", "lexicon")},
     )
 
 
@@ -194,34 +183,37 @@ def _single_dataset(plan: BenchmarkPlan):
     return next(iter(datasets.values()))
 
 
+def _single_scorer(args, command: str):
+    plan = build_plan(args)
+    if len(plan.measures) != 1 or len(plan.measures[0].configs) != 1:
+        raise PlanError(f"{command} needs exactly one measure")
+    [scorer] = bench.validate_plan(plan)
+    return plan, scorer, _single_dataset(plan)
+
+
 def _cmd_significance(args) -> int:
     plan = build_plan(args)
-    resources = bench.validate_plan(plan)
-    dataset = _single_dataset(plan)
-    parts = stats.uniform_split(dataset, args.splits)
-    per_method: dict[str, list[float]] = {}
-    for spec in plan.measures:
-        for cfg in spec.configs:
-            scorer = PairScorer(spec.measure_id, cfg, resources)
-            hs = []
-            for part in parts:
-                result = bench.score_dataset(scorer, part)
-                r = stats.pearson(result.scores, part.human_scores())
-                rho = stats.spearman(result.scores, part.human_scores())
-                hs.append(stats.harmonic(r, rho))
-            per_method[spec.measure_id] = hs
-    matrix = stats.significance_matrix(per_method)
+    scorers = bench.validate_plan(plan)
+    parts = stats.uniform_split(_single_dataset(plan), args.splits)
+    hs: list[list[float]] = [[] for _ in scorers]
+    for part in parts:
+        for k, result in bench.score_runs(scorers, part):
+            r = stats.pearson(result.scores, part.human_scores())
+            rho = stats.spearman(result.scores, part.human_scores())
+            hs[k].append(stats.harmonic(r, rho))
+    # a measure evaluated at several configs gets one row per config
+    ids = [sc.measure_id for sc in scorers]
+    labels = [sc.measure_id if ids.count(sc.measure_id) == 1 else f"{sc.measure_id} @ {sc.config.label()}"
+              for sc in scorers]
+    matrix = stats.significance_matrix(dict(zip(labels, hs)))
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dest = out / "significance.csv"
-    with dest.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method," + ",".join(matrix.methods) + "\n")
-        for i, mi in enumerate(matrix.methods):
-            cells = []
-            for j in range(len(matrix.methods)):
-                v = matrix.p_values[i, j]
-                cells.append("" if v != v else f"{v:.6g}")
-            fh.write(mi + "," + ",".join(cells) + "\n")
+    with dest.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method", *matrix.methods])
+        for mi, row in zip(matrix.methods, matrix.p_values):
+            writer.writerow([mi, *("" if v != v else f"{v:.6g}" for v in row)])
     print(f"significance matrix over {args.splits} splits written to {dest}")
     if matrix.degenerate.any():
         print("warning: some comparisons were degenerate (zero-variance differences)")
@@ -229,13 +221,7 @@ def _cmd_significance(args) -> int:
 
 
 def _cmd_error_analysis(args) -> int:
-    plan = build_plan(args)
-    if len(plan.measures) != 1 or len(plan.measures[0].configs) != 1:
-        raise PlanError("error-analysis needs exactly one measure")
-    resources = bench.validate_plan(plan)
-    dataset = _single_dataset(plan)
-    spec = plan.measures[0]
-    scorer = PairScorer(spec.measure_id, spec.configs[0], resources)
+    plan, scorer, dataset = _single_scorer(args, "error-analysis")
     result = bench.score_dataset(scorer, dataset)
     analysis = stats.error_analysis(result, dataset)
     out = Path(plan.out_dir)
@@ -253,15 +239,9 @@ def _cmd_error_analysis(args) -> int:
 
 
 def _cmd_throughput(args) -> int:
-    plan = build_plan(args)
-    if len(plan.measures) != 1 or len(plan.measures[0].configs) != 1:
-        raise PlanError("throughput needs exactly one measure")
-    resources = bench.validate_plan(plan)
-    dataset = _single_dataset(plan)
-    spec = plan.measures[0]
-    scorer = PairScorer(spec.measure_id, spec.configs[0], resources)
+    _, scorer, dataset = _single_scorer(args, "throughput")
     rate = bench.throughput(scorer, dataset, repeats=args.repeats)
-    print(f"{spec.measure_id}: {rate:.2f} pairs/sec "
+    print(f"{scorer.measure_id}: {rate:.2f} pairs/sec "
           f"({len(dataset)} pairs, median of {args.repeats} repeats)")
     return 0
 

@@ -253,7 +253,8 @@ def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],
 
     Component i of each vector is the best word similarity between the
     i-th joint word and any word of the corresponding sentence. An
-    all-zero vector yields similarity 0.
+    all-zero vector yields similarity 0. The cosine is clamped to 1, which
+    rounding exceeds for equal vectors.
     """
     set1, set2 = set(set1), set(set2)
     if not set1 or not set2:
@@ -266,7 +267,7 @@ def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],
     n2 = math.sqrt(sum(b * b for b in v2))
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    return dot / (n1 * n2)
+    return min(1.0, dot / (n1 * n2))
 
 
 def wbsm(s1: Iterable[str], s2: Iterable[str], measure: WordSimMeasure) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -184,28 +185,72 @@ def substitute_concepts(sentence: RawSentence) -> str:
     return text
 
 
+def _stages(cfg: PreprocessConfig) -> list:
+    """The pipeline as (memo name, item -> tokens) maps, applied to a
+    one-sentence sequence first; None for a stage the config skips."""
+    filt = load_char_filter(cfg.char_filter) if cfg.char_filter != "none" else None
+    stop = load_stopwords(cfg.stopwords) if cfg.stopwords != "none" else None
+    return [
+        (None, lambda s: tokenize(substitute_concepts(s) if cfg.ner == "annotations" else s.text,
+                                  cfg.tokenizer)),
+        (("lowercase",), lambda t: (t.lower(),)) if cfg.lowercase else None,
+        (("char_filter", cfg.char_filter), lambda t: filt.apply(t).split()) if filt else None,
+        (("stopwords", cfg.stopwords), lambda t: () if t.lower() in stop else (t,)) if stop else None,
+    ]
+
+
 def preprocess(sentence: RawSentence, cfg: PreprocessConfig) -> TokenSequence:
     """Run the full pipeline on one sentence.
 
     An all-filtered sentence yields an empty sequence, not an error.
     """
-    if cfg.ner == "annotations":
-        text = substitute_concepts(sentence)
-    else:
-        text = sentence.text
-    tokens = list(tokenize(text, cfg.tokenizer))
-    if cfg.lowercase:
-        tokens = [t.lower() for t in tokens]
-    if cfg.char_filter != "none":
-        filt = load_char_filter(cfg.char_filter)
-        filtered: list[str] = []
-        for tok in tokens:
-            filtered.extend(filt.apply(tok).split())
-        tokens = filtered
-    if cfg.stopwords != "none":
-        stop = load_stopwords(cfg.stopwords)
-        tokens = [t for t in tokens if t.lower() not in stop]
-    return tuple(tokens)
+    tokens: tuple = (sentence,)
+    for stage in _stages(cfg):
+        if stage is not None:
+            tokens = tuple(out for item in tokens for out in stage[1](item))
+    return tokens
+
+
+def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessConfig]
+                 ) -> Iterator[tuple[PreprocessConfig, list[TokenSequence]]]:
+    """Yield ``(cfg, [preprocess(s, cfg) for s in sentences])`` per distinct config.
+
+    Configs come in grid order so that consecutive ones share stage
+    prefixes: text is tokenized once per (ner, tokenizer), lower-cased once
+    per lowercase choice below that and char-filtered once per filter below
+    that. Only the latest table of each stage is kept. Tokens map through a
+    per-stage memo, and every token string is interned through one dict, so
+    tables share their strings.
+    """
+    intern: dict[str, str] = {}
+    memos: dict[tuple, dict[str, TokenSequence]] = {}
+
+    def mapped(table: list[tuple], stage) -> list[TokenSequence]:
+        if stage is None:
+            return table
+        memo = memos.setdefault(stage[0], {}) if stage[0] else {}
+        out = []
+        for items in table:
+            new: list[str] = []
+            for item in items:
+                hit = memo.get(item)
+                if hit is None:
+                    hit = memo[item] = tuple([intern.setdefault(t, t) for t in stage[1](item)])
+                new.extend(hit)
+            out.append(tuple(new))
+        return out
+
+    kept: list = [None] * 3  # (config prefix, table) after tokenizing, lower-casing, char filtering
+    for cfg in sorted(set(configs), key=full_grid(with_ner=True).index):
+        key = (cfg.ner, cfg.tokenizer, cfg.lowercase, cfg.char_filter)
+        stages = _stages(cfg)
+        table = [(s,) for s in sentences]
+        for depth in range(3):
+            if kept[depth] is None or kept[depth][0] != key[:depth + 2]:
+                kept[depth:] = [None] * (3 - depth)  # stale from here down
+                kept[depth] = (key[:depth + 2], mapped(table, stages[depth]))
+            table = kept[depth][1]
+        yield cfg, mapped(table, stages[3])
 
 
 _GRID_FIELDS = ("ner", "tokenizer", "lowercase", "char_filter", "stopwords")
@@ -235,11 +280,12 @@ def config_grid(dimensions: dict[str, list] | None = None) -> list[PreprocessCon
     ]
 
 
-def full_grid(with_ner: bool = False) -> list[PreprocessConfig]:
-    """The complete evaluation grid (48 configs; 96 with concept substitution)."""
+def full_grid(with_ner: bool = False, ner: str = "none") -> list[PreprocessConfig]:
+    """The complete evaluation grid: 48 configs at NER mode ``ner``, or 96
+    over both NER modes ``with_ner``."""
     return config_grid(
         {
-            "ner": list(NER_MODES) if with_ner else ["none"],
+            "ner": list(NER_MODES) if with_ner else [ner],
             "tokenizer": list(TOKENIZERS),
             "lowercase": [True, False],
             "char_filter": list(CHAR_FILTERS),

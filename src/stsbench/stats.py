@@ -37,17 +37,7 @@ def pearson(x, y) -> float:
 
 def average_ranks(x) -> np.ndarray:
     """1-based ranks with ties assigned their average rank."""
-    xa = np.asarray(x, dtype=float)
-    order = np.argsort(xa, kind="stable")
-    ranks = np.empty(len(xa), dtype=float)
-    i = 0
-    while i < len(xa):
-        j = i
-        while j + 1 < len(xa) and xa[order[j + 1]] == xa[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    return scipy_stats.rankdata(np.asarray(x, dtype=float), method="average")
 
 
 def spearman(x, y) -> float:

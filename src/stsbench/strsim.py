@@ -1,8 +1,10 @@
 """String-based sentence similarity measures over pre-processed token sequences.
 
-All measures are symmetric, return values in [0, 1], and raise
-:class:`EmptyInputError` on empty operands so that benchmark runs surface
-pre-processing pathologies instead of silently scoring empty sentences.
+All measures are symmetric and return values in [0, 1]. A kernel raises
+:class:`EmptyInputError` where it is undefined on empty operands; the
+benchmark scores through :func:`with_empty_rule`, under which an empty
+sequence scores 0.0 against a non-empty one and 1.0 against an empty one,
+as ``levenshtein_sim`` and the kernels that do not raise already score.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ from collections.abc import Iterable, Sequence
 
 class EmptyInputError(ValueError):
     """A measure was applied to an empty token sequence or word set."""
+
+
+def with_empty_rule(kernel):
+    """``kernel`` on two non-empty sequences, else 0.0 (one side empty) or 1.0 (both)."""
+    return lambda s1, s2: kernel(s1, s2) if s1 and s2 else (0.0 if s1 or s2 else 1.0)
 
 
 def token_profile(tokens: Sequence[str]) -> Counter:

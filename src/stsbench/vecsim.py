@@ -99,14 +99,7 @@ def pool(tokens: Sequence[str], model: VectorModel, mode: str) -> np.ndarray | N
     vectors = [model.table[t] for t in tokens if t in model.table]
     if not vectors:
         return None
-    stack = np.stack(vectors)
-    if mode == "mean":
-        return stack.mean(axis=0)
-    if mode == "min":
-        return stack.min(axis=0)
-    if mode == "max":
-        return stack.max(axis=0)
-    return stack.sum(axis=0)
+    return getattr(np.stack(vectors), mode)(axis=0)  # every pooling mode is an ndarray method
 
 
 def swem_sim(s1: Sequence[str], s2: Sequence[str], model: VectorModel, mode: str = "mean") -> float:

@@ -10,14 +10,14 @@ from stsbench.bench import (
     PlanError,
     Resources,
     best_config,
-    grid_specs,
     known_measure,
     score_dataset,
     throughput,
     validate_plan,
 )
 from stsbench.core import read_raw_scores, write_dataset
-from stsbench.preprocess import PreprocessConfig, preprocess
+from stsbench.ontosim import Taxonomy
+from stsbench.preprocess import PreprocessConfig, full_grid, preprocess
 from stsbench.stats import harmonic
 from stsbench.strsim import liblock_sim
 
@@ -50,25 +50,42 @@ def test_scorer_resource_requirements():
         PairScorer("bogus", cfg, Resources())
 
 
-def test_score_dataset_thread_determinism(rng):
-    ds = make_dataset(rng, 40)
-    cfg = PreprocessConfig()
-    serial = score_dataset(PairScorer("liblock", cfg, Resources()), ds, threads=1)
-    threaded = score_dataset(PairScorer("liblock", cfg, Resources()), ds, threads=4)
-    assert serial.scores == threaded.scores
-
-
 def test_score_dataset_reports_failing_pair(rng):
     ds = make_dataset(rng, 5)
-    # a stop-word-only sentence pre-processes to nothing and the measure errors
+    # a stop-word-only sentence pre-processes to nothing; string measures
+    # score it by the empty-input rule, the ontology measures still error
     import dataclasses
     from stsbench.core import RawSentence
     pairs = list(ds.pairs)
     pairs[3] = dataclasses.replace(pairs[3], s1=RawSentence("the of and"))
     ds = dataclasses.replace(ds, pairs=tuple(pairs))
-    scorer = PairScorer("block", PreprocessConfig(stopwords="nltk2018"), Resources())
+    from conftest import VOCAB
+    resources = Resources(taxonomy=Taxonomy(random_dag(np.random.default_rng(5), 30)),
+                          lexicon={w: frozenset({f"c{i % 30}"}) for i, w in enumerate(VOCAB)})
+    scorer = PairScorer("wbsm-rada", PreprocessConfig(stopwords="nltk2018"), resources)
     with pytest.raises(RuntimeError, match="pair 3"):
         score_dataset(scorer, ds)
+
+
+def test_grid_scores_emptied_sentences_by_rule(tmp_path, rng):
+    import dataclasses
+    from stsbench.core import RawSentence
+    ds = make_dataset(rng, 8)
+    pairs = list(ds.pairs)
+    stop_only = RawSentence("The of and")
+    pairs[2] = dataclasses.replace(pairs[2], s1=stop_only)
+    pairs[5] = dataclasses.replace(pairs[5], s1=stop_only, s2=RawSentence("and the"))
+    path = tmp_path / "data.tsv"
+    write_dataset(dataclasses.replace(ds, pairs=tuple(pairs)), path)
+    plan = BenchmarkPlan({"data": path}, [MeasureSpec(m, full_grid()) for m in bench.STRING_MEASURES],
+                         out_dir=tmp_path / "out")
+    with pytest.warns(UserWarning, match="2 pair\\(s\\) with an empty token sequence"):
+        runs, report = bench.run(plan)
+    assert len(runs) == len(report.rows) == 6 * 48
+    for run in runs:
+        assert all(0.0 <= s <= 1.0 for s in run.scores)
+        if run.preprocess_config.endswith("sw=nltk2018"):
+            assert (run.scores[2], run.scores[5]) == (0.0, 1.0)
 
 
 def _plan(tmp_path, rng, measures, n_pairs=25, **kwargs):
@@ -178,21 +195,6 @@ def test_best_config_tie_warns():
         assert best_config(bench.EvalReport(rows), "block") == "cfgA"
 
 
-def test_grid_specs():
-    spec = grid_specs("block")
-    assert spec.measure_id == "block"
-    assert len(spec.configs) == 48
-    assert len(set(spec.configs)) == 48
-
-
-def test_threads_env_override(tmp_path, rng, monkeypatch):
-    plan, _ = _plan(tmp_path, rng, [MeasureSpec("block", [PreprocessConfig()])])
-    plan.threads = 2
-    assert bench._effective_threads(plan) == 2
-    monkeypatch.setenv("STSBENCH_THREADS", "7")
-    assert bench._effective_threads(plan) == 7
-
-
 def test_throughput(rng):
     ds = make_dataset(rng, 30)
     scorer = PairScorer("block", PreprocessConfig(), Resources())
@@ -211,8 +213,7 @@ def test_plan_file_parsing(tmp_path):
         "measure = block\n"
         "measure = liblock @ char_filter=default, stopwords=nltk2018\n"
         "lowercase = no\n"
-        "out = results\n"
-        "threads = 2\n",
+        "out = results\n",
         encoding="utf-8",
     )
     raw = cli.parse_plan_file(plan_file)
@@ -224,12 +225,11 @@ def test_plan_file_parsing(tmp_path):
     parser_args = type("A", (), {})()
     for k in ("dataset", "annotations", "measure"):
         setattr(parser_args, k, [])
-    for k in ("plan", "vectors", "taxonomy", "lexicon", "out", "threads",
+    for k in ("plan", "vectors", "taxonomy", "lexicon", "out",
               "ner", "tokenizer", "lowercase", "char_filter", "stopwords"):
         setattr(parser_args, k, None)
     parser_args.plan = str(plan_file)
     plan = cli.build_plan(parser_args)
-    assert plan.threads == 2
     assert plan.measures[0].configs[0].lowercase is False
     inline = plan.measures[1].configs[0]
     assert inline.char_filter == "default"
@@ -283,3 +283,18 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     rc = cli.main(["validate", "--measure", "block"])
     assert rc == 1
+
+
+def test_significance_keeps_every_config(tmp_path, rng):
+    ds = make_dataset(rng, 40)
+    path = tmp_path / "d.tsv"
+    write_dataset(ds, path)
+    out = tmp_path / "out"
+    rc = cli.main(["significance", "--dataset", f"d={path}", "--measure", "block",
+                   "--measure", "block @ lowercase=no", "--splits", "4", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "significance.csv").read_text().splitlines()
+    assert len(rows) == 3
+    labels = [PreprocessConfig().label(), PreprocessConfig(lowercase=False).label()]
+    assert rows[1].startswith(f'"block @ {labels[0]}",')
+    assert rows[2].startswith(f'"block @ {labels[1]}",')

@@ -170,6 +170,13 @@ def test_semantic_vector_sim_empty():
         semantic_vector_sim(set(), {"a"}, exact_match_sim)
 
 
+def test_semantic_vector_sim_equal_sets_is_one():
+    # sqrt(3) * sqrt(3) rounds below 3, so the raw cosine reads 1.0000000000000002
+    assert 3 / (math.sqrt(3) * math.sqrt(3)) > 1.0
+    words = {"cat", "dog", "pet"}
+    assert semantic_vector_sim(words, set(words), exact_match_sim) == 1.0
+
+
 def test_wbsm_ubsm_and_com(tax, lexicon):
     m = WordSimMeasure("rada", tax, lexicon)
     w = wbsm(("cat", "dog"), ("cat", "pet"), m)

@@ -1,5 +1,11 @@
-import pytest
+from dataclasses import replace
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_dataset
 from stsbench.core import Annotation, RawSentence
 from stsbench.preprocess import (
     ConfigError,
@@ -10,6 +16,7 @@ from stsbench.preprocess import (
     load_stopwords,
     preprocess,
     substitute_concepts,
+    token_tables,
     tokenize,
 )
 
@@ -135,8 +142,49 @@ def test_full_grid_size():
     assert len(set(full_grid())) == 48
 
 
+def test_full_grid_at_one_ner_mode():
+    grid = full_grid(ner="annotations")
+    assert len(grid) == len(set(grid)) == 48
+    assert {cfg.ner for cfg in grid} == {"annotations"}
+    assert [replace(cfg, ner="none") for cfg in grid] == full_grid()
+
+
 def test_config_grid_errors():
     with pytest.raises(ConfigError, match="unknown grid dimensions"):
         config_grid({"bogus": [1]})
     with pytest.raises(ConfigError, match="empty value list"):
         config_grid({"lowercase": []})
+
+
+# surface forms every stage acts on: case, punctuation, hyphen-digit splits,
+# abbreviations and stop words
+_WORDS = ("The", "of", "AND", "IL-6", "miR-146a", "e.g.", "Craf,", "(KRAS)", "tumour's",
+          "50%", "cell", "Gene/protein", "--", "x.")
+
+
+@st.composite
+def _sentences(draw):
+    words = draw(st.lists(st.sampled_from(_WORDS), min_size=0, max_size=8))
+    text = " ".join(words)
+    annotations = ()
+    if words and draw(st.booleans()):
+        annotations = (Annotation(0, len(words[0]), draw(st.sampled_from(["C0012", "CUI9"]))),)
+    return RawSentence(text, annotations)
+
+
+@settings(max_examples=30, deadline=None)
+@given(extra=st.lists(_sentences(), max_size=6),
+       picks=st.lists(st.integers(0, 95), min_size=1, max_size=12),
+       seed=st.integers(0, 2**16))
+def test_token_tables_equal_preprocess(extra, picks, seed):
+    grid = full_grid(with_ner=True)
+    configs = [grid[i] for i in picks]
+    ds = make_dataset(np.random.default_rng(seed), 5)
+    example = RawSentence(EXAMPLE_TEXT, EXAMPLE_ANNOTATIONS)
+    sentences = [s for pair in ds.pairs for s in (pair.s1, pair.s2)] + extra + [example]
+    seen = []
+    for cfg, table in token_tables(sentences, configs):
+        seen.append(cfg)
+        assert table == [preprocess(s, cfg) for s in sentences]
+    assert sorted(seen, key=grid.index) == seen
+    assert set(seen) == set(configs) and len(seen) == len(set(configs))

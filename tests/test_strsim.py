@@ -16,6 +16,7 @@ from stsbench.strsim import (
     overlap_sim,
     qgram_sim,
     token_profile,
+    with_empty_rule,
 )
 
 EXAMPLE_S1 = ("c0280089", "formation", "mice", "oncogenic", "c1537502",
@@ -147,6 +148,18 @@ def test_empty_input_errors():
         qgram_sim((), ())
     with pytest.raises(EmptyInputError):
         liblock_sim((), ())
+
+
+def test_empty_rule_reproduces_non_raising_kernels():
+    kernels = (qgram_sim, jaccard_sim, block_distance_sim, liblock_sim, levenshtein_sim, overlap_sim)
+    for kernel in kernels:
+        scored = with_empty_rule(kernel)
+        assert scored((), ("a", "b")) == scored(("a",), ()) == 0.0
+        assert scored((), ()) == 1.0
+        assert scored(("a", "b"), ("b", "c")) == kernel(("a", "b"), ("b", "c"))
+    # where a kernel already defines a value on empty input, the rule agrees
+    assert qgram_sim((), ("a",)) == jaccard_sim((), ("a",)) == levenshtein_sim((), ("a",)) == 0.0
+    assert levenshtein_sim((), ()) == 1.0
 
 
 def test_randomized_properties(rng):

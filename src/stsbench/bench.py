@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import time
 import warnings
 from collections.abc import Iterator
@@ -19,7 +20,7 @@ from .core import (
     load_dataset,
     write_raw_scores,
 )
-from .preprocess import PreprocessConfig, TokenSequence, preprocess, token_tables
+from .preprocess import PreprocessConfig, TokenSequence, token_tables
 from .stats import DegenerateDataError, harmonic, pearson, spearman
 
 
@@ -27,29 +28,44 @@ class PlanError(ValueError):
     """Invalid benchmark plan or unresolvable resource."""
 
 
-# measure id -> kernel name in ``strsim``, looked up when a scorer is built so
-# that a kernel replaced on the module (by a profiler, say) is the one called
-STRING_KERNELS = {"qgram": "qgram_sim", "jaccard": "jaccard_sim", "block": "block_distance_sim",
-                  "liblock": "liblock_sim", "levenshtein": "levenshtein_sim", "overlap": "overlap_sim"}
-STRING_MEASURES = tuple(STRING_KERNELS)
-# ontology measure id -> NER modes of the token views it reads
-ONTOLOGY_VIEWS = {"wbsm-rada": ("none",), "wbsm-jc": ("none",), "ubsm-rada": ("annotations",),
-                  "ubsm-jc": ("annotations",), "com": ("none", "annotations")}
-SWEM_PREFIX = "swem:"
+# measure id -> (family, how it is computed). "string": the kernel's name in
+# ``strsim``, looked up when a scorer is built so that a kernel replaced on the
+# module (by a profiler, say) is the one called. "ontology": the word-similarity
+# kind and the NER modes of the token views it reads; UBSM is WBSM over the
+# concept-substituted view, COM averages the two. "swem": the pooling mode.
+MEASURES = {
+    "qgram": ("string", "qgram_sim"), "jaccard": ("string", "jaccard_sim"),
+    "block": ("string", "block_distance_sim"), "liblock": ("string", "liblock_sim"),
+    "levenshtein": ("string", "levenshtein_sim"), "overlap": ("string", "overlap_sim"),
+    "wbsm-rada": ("ontology", ("rada", ("none",))),
+    "wbsm-jc": ("ontology", ("jiang-conrath", ("none",))),
+    "ubsm-rada": ("ontology", ("rada", ("annotations",))),
+    "ubsm-jc": ("ontology", ("jiang-conrath", ("annotations",))),
+    "com": ("ontology", ("rada", ("none", "annotations"))),
+    **{f"swem:{mode}": ("swem", mode) for mode in vecsim.POOLING_MODES},
+}
+STRING_MEASURES = tuple(m for m, (family, _) in MEASURES.items() if family == "string")
 
 
 def known_measure(measure_id: str) -> bool:
-    return (measure_id in STRING_KERNELS or measure_id in ONTOLOGY_VIEWS
-            or (measure_id.startswith(SWEM_PREFIX) and measure_id[len(SWEM_PREFIX):] in vecsim.POOLING_MODES))
+    return measure_id in MEASURES
 
 
 @dataclass
 class Resources:
-    """Shared immutable models loaded once per plan."""
+    """Shared immutable models loaded once per plan, and one memoised word
+    measure per kind, shared by every scorer and config."""
 
     vectors: vecsim.VectorModel | None = None
     taxonomy: ontosim.Taxonomy | None = None
     lexicon: dict[str, frozenset[str]] | None = None
+    word_measures: dict[str, ontosim.WordSimMeasure] = field(default_factory=dict, repr=False)
+
+    def word_measure(self, kind: str) -> ontosim.WordSimMeasure:
+        """Built on first use, which checks the lexicon against the taxonomy."""
+        if kind not in self.word_measures:
+            self.word_measures[kind] = ontosim.WordSimMeasure(kind, self.taxonomy, self.lexicon)
+        return self.word_measures[kind]
 
 
 class PairScorer:
@@ -58,9 +74,8 @@ class PairScorer:
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
     measures (both for ``com``). ``score_tokens`` takes each side's tokens,
-    a tuple with one sequence per view when there are several; ``score``
-    pre-processes raw sentences first. String measures follow the
-    empty-input rule of :func:`strsim.with_empty_rule`.
+    a tuple with one sequence per view when there are several. String
+    measures follow the empty-input rule of :func:`strsim.with_empty_rule`.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -68,42 +83,26 @@ class PairScorer:
             raise PlanError(f"unknown measure id {measure_id!r}")
         self.measure_id = measure_id
         self.config = config
-        self.resources = resources
-        self._word_measures: dict[str, ontosim.WordSimMeasure] = {}
-        if measure_id.startswith(SWEM_PREFIX) and resources.vectors is None:
-            raise PlanError(f"measure {measure_id!r} requires a word-vector model")
-        if measure_id in ONTOLOGY_VIEWS and (resources.taxonomy is None or resources.lexicon is None):
-            raise PlanError(f"measure {measure_id!r} requires a taxonomy and lexicon")
         self.views: tuple[PreprocessConfig, ...] = (config,)
-        if measure_id in STRING_KERNELS:
-            self.score_tokens = strsim.with_empty_rule(getattr(strsim, STRING_KERNELS[measure_id]))
-        elif measure_id.startswith(SWEM_PREFIX):
-            mode = measure_id[len(SWEM_PREFIX):]
-            self.score_tokens = lambda t1, t2: vecsim.rescale_signed(
-                vecsim.swem_sim(t1, t2, resources.vectors, mode))
+        family, how = MEASURES[measure_id]
+        if family == "string":
+            self.score_tokens = strsim.with_empty_rule(getattr(strsim, how))
+        elif family == "swem":
+            vectors = resources.vectors
+            if vectors is None:
+                raise PlanError(f"measure {measure_id!r} requires a word-vector model")
+            self.score_tokens = lambda t1, t2: vecsim.rescale_signed(vecsim.swem_sim(t1, t2, vectors, how))
         else:
-            self.views = tuple(replace(config, ner=ner) for ner in ONTOLOGY_VIEWS[measure_id])
-            self.score_tokens = self._score_ontology
-
-    def _word_measure(self, kind: str) -> ontosim.WordSimMeasure:
-        if kind not in self._word_measures:
-            self._word_measures[kind] = ontosim.WordSimMeasure(
-                kind, self.resources.taxonomy, self.resources.lexicon)
-        return self._word_measures[kind]
-
-    def _side(self, sentence: RawSentence):
-        tokens = tuple(preprocess(sentence, view) for view in self.views)
-        return tokens if len(tokens) > 1 else tokens[0]
-
-    def score(self, s1: RawSentence, s2: RawSentence) -> float:
-        return self.score_tokens(self._side(s1), self._side(s2))
-
-    def _score_ontology(self, a, b) -> float:
-        if self.measure_id == "com":
-            rada = self._word_measure("rada")
-            return ontosim.com(ontosim.wbsm(a[0], b[0], rada), ontosim.ubsm(a[1], b[1], rada))
-        kind = self.measure_id.split("-")[1]
-        return ontosim.wbsm(a, b, self._word_measure("rada" if kind == "rada" else "jiang-conrath"))
+            if resources.taxonomy is None or resources.lexicon is None:
+                raise PlanError(f"measure {measure_id!r} requires a taxonomy and lexicon")
+            kind, ners = how
+            words = resources.word_measure(kind)
+            self.views = tuple(replace(config, ner=ner) for ner in ners)
+            if len(ners) == 1:
+                self.score_tokens = lambda a, b: ontosim.wbsm(a, b, words)
+            else:
+                self.score_tokens = lambda a, b: ontosim.com(ontosim.wbsm(a[0], b[0], words),
+                                                             ontosim.wbsm(a[1], b[1], words))
 
 
 @dataclass
@@ -175,10 +174,15 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
     Each distinct sentence is pre-processed once per config
     (:func:`token_tables`, in grid order) and every scorer reading that
     config scores from the same table. A table is dropped as soon as no
-    pending scorer needs it.
+    pending scorer needs it. A measure that reads the ``ner=annotations``
+    view of a dataset without annotations warns once.
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
+    if not any(s.annotations for s in ids):
+        for mid in dict.fromkeys(s.measure_id for s in scorers if any(v.ner == "annotations" for v in s.views)):
+            warnings.warn(f"{mid} on {dataset.name!r}: no sentence has annotations, so the "
+                          "ner=annotations view is the text without concept substitution")
     pending = dict(enumerate(scorers))
     tables: dict[PreprocessConfig, list[TokenSequence]] = {}
     for cfg, table in token_tables(list(ids), {v for s in scorers for v in s.views}):
@@ -202,7 +206,7 @@ def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]]
     except Exception as exc:
         raise RuntimeError(
             f"{scorer.measure_id} failed on pair {len(scores)} of {name!r}: {exc}") from exc
-    if scorer.measure_id in STRING_KERNELS:
+    if MEASURES[scorer.measure_id][0] == "string":
         empty = sum(1 for a, b in pairs if not table[a] or not table[b])
         if empty:
             warnings.warn(f"{scorer.measure_id} on {name!r} ({scorer.config.label()}): {empty} "
@@ -239,11 +243,12 @@ class EvalReport:
         return list(dict.fromkeys(row.config for row in self.rows if row.measure_id == measure_id))
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("dataset,method,config,r,rho,h\n")
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["dataset", "method", "config", "r", "rho", "h"])
             for row in self.rows:
-                fh.write(f"{row.dataset},{row.measure_id},\"{row.config}\","
-                         f"{row.r:.6f},{row.rho:.6f},{row.h:.6f}\n")
+                writer.writerow([row.dataset, row.measure_id, row.config,
+                                 f"{row.r:.6f}", f"{row.rho:.6f}", f"{row.h:.6f}"])
 
     def format_table(self) -> str:
         header = f"{'dataset':<12} {'method':<12} {'r':>8} {'rho':>8} {'h':>8}  config"

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import bench, stats
 from .bench import BenchmarkPlan, MeasureSpec, PlanError
-from .preprocess import CHAR_FILTERS, NER_MODES, STOPWORD_LISTS, TOKENIZERS, PreprocessConfig, full_grid
+from .preprocess import OPTIONS, PreprocessConfig, full_grid
 
 
 def _parse_bool(value: str) -> bool:
@@ -35,16 +35,18 @@ def _parse_bool(value: str) -> bool:
     raise PlanError(f"expected yes/no, got {value!r}")
 
 
-_CONFIG_KEYS = ("ner", "tokenizer", "lowercase", "char_filter", "stopwords")
+_RESOURCE_KEYS = ("vectors", "taxonomy", "lexicon")
+# the loose ``key = value`` lines a plan file may carry
+_PLAN_KEYS = (*OPTIONS, "grid", "out", *_RESOURCE_KEYS)
 
 
 def _config_from_items(items: dict[str, str], base: PreprocessConfig | None = None) -> PreprocessConfig:
     kwargs = {}
     for key, value in items.items():
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in OPTIONS:
             raise PlanError(f"unknown pre-processing option {key!r}")
-        kwargs[key] = _parse_bool(value) if key == "lowercase" else value
+        kwargs[key] = _parse_bool(value) if isinstance(OPTIONS[key][0], bool) else value
     return PreprocessConfig(**kwargs) if base is None else replace(base, **kwargs)
 
 
@@ -100,11 +102,9 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taxonomy", help="taxonomy edge file (child<TAB>parent)")
     p.add_argument("--lexicon", help="surface-form lexicon file")
     p.add_argument("--out", help="output directory (default: results)")
-    p.add_argument("--ner", choices=NER_MODES)
-    p.add_argument("--tokenizer", choices=TOKENIZERS)
-    p.add_argument("--lowercase", choices=("yes", "no"))
-    p.add_argument("--char-filter", choices=CHAR_FILTERS)
-    p.add_argument("--stopwords", choices=STOPWORD_LISTS)
+    for key, values in OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"),
+                       choices=[("yes" if v else "no") if isinstance(v, bool) else v for v in values])
 
 
 def _split_name_path(values: list[str], flag: str) -> dict[str, str]:
@@ -122,18 +122,20 @@ def build_plan(args: argparse.Namespace, grid: bool = False) -> BenchmarkPlan:
     raw = parse_plan_file(args.plan) if args.plan else {
         "datasets": {}, "annotations": {}, "measures": [], "options": {}}
     options = raw["options"]
+    for key in options:
+        if key not in _PLAN_KEYS:
+            raise PlanError(f"unknown plan key {key!r}")
     datasets = dict(raw["datasets"])
     datasets.update(_split_name_path(args.dataset, "dataset"))
     annotations = dict(raw["annotations"])
     annotations.update(_split_name_path(args.annotations, "annotations"))
     measure_entries = list(raw["measures"]) + list(args.measure)
 
-    cfg_items = {k: options[k] for k in _CONFIG_KEYS if k in options}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg_items[key] = flag
-    base = _config_from_items(cfg_items)
+    def opt(key):
+        v = getattr(args, key, None)
+        return v if v is not None else options.get(key)
+
+    base = _config_from_items({k: opt(k) for k in OPTIONS if opt(k) is not None})
 
     grid = grid or _parse_bool(options.get("grid", "no"))
     specs = []
@@ -143,16 +145,12 @@ def build_plan(args: argparse.Namespace, grid: bool = False) -> BenchmarkPlan:
             spec = MeasureSpec(spec.measure_id, full_grid(ner=base.ner))
         specs.append(spec)
 
-    def opt(key):
-        v = getattr(args, key, None)
-        return v if v is not None else options.get(key)
-
     return BenchmarkPlan(
         datasets={k: Path(v) for k, v in datasets.items()},
         measures=specs,
         out_dir=Path(opt("out") or "results"),
         annotations={k: Path(v) for k, v in annotations.items()},
-        **{k: Path(opt(k)) if opt(k) else None for k in ("vectors", "taxonomy", "lexicon")},
+        **{k: Path(opt(k)) if opt(k) else None for k in _RESOURCE_KEYS},
     )
 
 

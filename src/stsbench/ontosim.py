@@ -271,12 +271,11 @@ def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],
 
 
 def wbsm(s1: Iterable[str], s2: Iterable[str], measure: WordSimMeasure) -> float:
-    """Semantic-vector similarity over word tokens."""
-    return semantic_vector_sim(set(s1), set(s2), measure.word_sim)
+    """Semantic-vector similarity over word tokens.
 
-
-def ubsm(s1: Iterable[str], s2: Iterable[str], measure: WordSimMeasure) -> float:
-    """Semantic-vector similarity over concept-code tokens plus residual words."""
+    UBSM is this lifting over the concept-substituted tokens (concept codes
+    plus residual words).
+    """
     return semantic_vector_sim(set(s1), set(s2), measure.word_sim)
 
 

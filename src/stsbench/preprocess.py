@@ -27,7 +27,7 @@ import functools
 import itertools
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -35,10 +35,15 @@ from .core import RawSentence
 
 TokenSequence = tuple[str, ...]
 
-NER_MODES = ("none", "annotations")
-TOKENIZERS = ("whitespace", "treebank-rules")
-CHAR_FILTERS = ("none", "default", "biosses", "blagec2019")
-STOPWORD_LISTS = ("none", "biosses", "nltk2018")
+# PreprocessConfig field -> its allowed values, in grid order; the CLI flags
+# and plan keys come from this table too
+OPTIONS = {
+    "ner": ("none", "annotations"),
+    "tokenizer": ("whitespace", "treebank-rules"),
+    "lowercase": (True, False),
+    "char_filter": ("none", "default", "biosses", "blagec2019"),
+    "stopwords": ("none", "biosses", "nltk2018"),
+}
 
 
 class ConfigError(ValueError):
@@ -128,16 +133,11 @@ class PreprocessConfig:
     stopwords: str = "none"
 
     def __post_init__(self):
-        for value, allowed, label in (
-            (self.ner, NER_MODES, "ner"),
-            (self.tokenizer, TOKENIZERS, "tokenizer"),
-            (self.char_filter, CHAR_FILTERS, "char_filter"),
-            (self.stopwords, STOPWORD_LISTS, "stopwords"),
-        ):
-            if value not in allowed:
-                raise ConfigError(f"{label} must be one of {allowed}, got {value!r}")
-        if not isinstance(self.lowercase, bool):
-            raise ConfigError(f"lowercase must be a boolean, got {self.lowercase!r}")
+        for name, allowed in OPTIONS.items():
+            value = getattr(self, name)
+            # a field's values share one type; checked so that 1 does not pass for True
+            if type(value) is not type(allowed[0]) or value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         # named resources must resolve at construction time
         if self.char_filter != "none":
             load_char_filter(self.char_filter)
@@ -253,42 +253,8 @@ def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessC
         yield cfg, mapped(table, stages[3])
 
 
-_GRID_FIELDS = ("ner", "tokenizer", "lowercase", "char_filter", "stopwords")
-
-
-def config_grid(dimensions: dict[str, list] | None = None) -> list[PreprocessConfig]:
-    """Cartesian product of the given dimension value lists.
-
-    Missing dimensions default to the single default value of
-    :class:`PreprocessConfig`. The order is the deterministic lexicographic
-    order of the given value lists, iterating the last dimension fastest.
-    """
-    dimensions = dict(dimensions or {})
-    unknown = set(dimensions) - set(_GRID_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown grid dimensions: {sorted(unknown)}")
-    defaults = {f.name: f.default for f in fields(PreprocessConfig)}
-    axes = []
-    for name in _GRID_FIELDS:
-        values = dimensions.get(name, [defaults[name]])
-        if not values:
-            raise ConfigError(f"empty value list for dimension {name!r}")
-        axes.append(list(values))
-    return [
-        PreprocessConfig(**dict(zip(_GRID_FIELDS, combo)))
-        for combo in itertools.product(*axes)
-    ]
-
-
 def full_grid(with_ner: bool = False, ner: str = "none") -> list[PreprocessConfig]:
-    """The complete evaluation grid: 48 configs at NER mode ``ner``, or 96
-    over both NER modes ``with_ner``."""
-    return config_grid(
-        {
-            "ner": list(NER_MODES) if with_ner else [ner],
-            "tokenizer": list(TOKENIZERS),
-            "lowercase": [True, False],
-            "char_filter": list(CHAR_FILTERS),
-            "stopwords": list(STOPWORD_LISTS),
-        }
-    )
+    """The evaluation grid, the last field of :data:`OPTIONS` varying fastest:
+    48 configs at NER mode ``ner``, or 96 over both NER modes ``with_ner``."""
+    options = OPTIONS if with_ner else {**OPTIONS, "ner": (ner,)}
+    return [PreprocessConfig(**dict(zip(options, combo))) for combo in itertools.product(*options.values())]

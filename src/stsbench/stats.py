@@ -59,7 +59,14 @@ def spearman_closed_form(x, y) -> float:
 
 
 def harmonic(r: float, rho: float) -> float:
-    """Harmonic combination 2*r*rho / (r + rho) of the two correlations."""
+    """Harmonic combination 2*r*rho / (r + rho) of the two correlations.
+
+    Undefined, and raised as degenerate, when r and rho have opposite signs
+    (the formula would leave [-1, 1]) or sum to zero.
+    """
+    if r < 0.0 < rho or rho < 0.0 < r:
+        raise DegenerateDataError(f"r = {r:.6g} and rho = {rho:.6g} have opposite signs: "
+                                  "harmonic score undefined")
     if r + rho == 0.0:
         raise DegenerateDataError("r + rho is zero: harmonic score undefined")
     return 2.0 * r * rho / (r + rho)

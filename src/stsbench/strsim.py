@@ -44,14 +44,15 @@ def block_distance_sim(s1: Sequence[str], s2: Sequence[str]) -> float:
 def li_adapted_sim(set1: Iterable[str], set2: Iterable[str]) -> float:
     """Cosine of the binary indicator vectors of two word sets.
 
-    Equals |S1 & S2| / sqrt(|S1| * |S2|).
+    Equals |S1 & S2| / sqrt(|S1| * |S2|), clamped to 1, which rounding
+    exceeds for some equal sets (sqrt(3) * sqrt(3) < 3).
     """
     set1, set2 = set(set1), set(set2)
     if not set1 or not set2:
         raise EmptyInputError("word sets must be non-empty")
     # norms multiplied separately so the result is bit-identical to an
     # explicit binary-vector cosine over the joint dictionary
-    return len(set1 & set2) / (math.sqrt(len(set1)) * math.sqrt(len(set2)))
+    return min(1.0, len(set1 & set2) / (math.sqrt(len(set1)) * math.sqrt(len(set2))))
 
 
 def liblock_sim(s1: Sequence[str], s2: Sequence[str]) -> float:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dag
-from stsbench import bench, cli
+from stsbench import bench, cli, ontosim
 from stsbench.bench import (
     BenchmarkPlan,
     MeasureSpec,
@@ -35,9 +37,8 @@ def test_scorer_matches_direct_composition(rng):
     ds = make_dataset(rng, 20)
     cfg = PreprocessConfig(char_filter="default", stopwords="nltk2018")
     scorer = PairScorer("liblock", cfg, Resources())
-    for pair in ds.pairs:
-        expected = liblock_sim(preprocess(pair.s1, cfg), preprocess(pair.s2, cfg))
-        assert scorer.score(pair.s1, pair.s2) == expected
+    expected = tuple(liblock_sim(preprocess(pair.s1, cfg), preprocess(pair.s2, cfg)) for pair in ds.pairs)
+    assert score_dataset(scorer, ds).scores == expected
 
 
 def test_scorer_resource_requirements():
@@ -100,6 +101,15 @@ def _plan(tmp_path, rng, measures, n_pairs=25, **kwargs):
     ), ds
 
 
+def _onto_files(tmp_path, extra_lexicon=""):
+    from conftest import VOCAB
+    tax_path = tmp_path / "tax.tsv"
+    tax_path.write_text("\n".join(f"{c}\t{p}" for c, p in random_dag(np.random.default_rng(5), 30)) + "\n")
+    lex_path = tmp_path / "lex.tsv"
+    lex_path.write_text("\n".join(f"{w}\tc{i % 30}" for i, w in enumerate(VOCAB)) + "\n" + extra_lexicon)
+    return tax_path, lex_path
+
+
 def test_validate_plan_errors(tmp_path, rng):
     plan, _ = _plan(tmp_path, rng, [MeasureSpec("block", [PreprocessConfig()])])
     validate_plan(plan)
@@ -154,12 +164,7 @@ def test_run_with_swem_rescales_to_unit_interval(tmp_path, rng):
 
 
 def test_run_ontology_measures(tmp_path, rng):
-    edges = random_dag(np.random.default_rng(5), 30)
-    tax_path = tmp_path / "tax.tsv"
-    tax_path.write_text("\n".join(f"{c}\t{p}" for c, p in edges) + "\n")
-    from conftest import VOCAB
-    lex_path = tmp_path / "lex.tsv"
-    lex_path.write_text("\n".join(f"{w}\tc{i % 30}" for i, w in enumerate(VOCAB)) + "\n")
+    tax_path, lex_path = _onto_files(tmp_path)
     plan, _ = _plan(tmp_path, rng, [
         MeasureSpec("wbsm-rada", [PreprocessConfig()]),
         MeasureSpec("ubsm-jc", [PreprocessConfig()]),
@@ -298,3 +303,77 @@ def test_significance_keeps_every_config(tmp_path, rng):
     labels = [PreprocessConfig().label(), PreprocessConfig(lowercase=False).label()]
     assert rows[1].startswith(f'"block @ {labels[0]}",')
     assert rows[2].startswith(f'"block @ {labels[1]}",')
+
+
+def test_plan_rejects_unknown_keys(tmp_path, rng, capsys):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(rng, 10), path)
+    for line in ("tokeniser = treebank-rules", "threads = 4"):
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text(f"dataset.d = {path}\nmeasure = block\n{line}\n", encoding="utf-8")
+        assert cli.main(["validate", "--plan", str(plan_file)]) == 1
+        key = line.split(" = ")[0]
+        assert f"unknown plan key {key!r}" in capsys.readouterr().err
+
+
+def test_report_csv_quotes_dataset_names(tmp_path):
+    import csv
+    report = bench.EvalReport([bench.ReportRow("a,b", "block", "cfg", 0.5, 0.25, 1 / 3)])
+    path = tmp_path / "report.csv"
+    report.write_csv(path)
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["a,b", "block", "cfg", "0.500000", "0.250000", "0.333333"]
+    # an ordinary name is written as before: unquoted, with the config label quoted
+    report = bench.EvalReport([bench.ReportRow("d", "block", PreprocessConfig().label(), 0.5, 0.25, 1 / 3)])
+    report.write_csv(path)
+    assert path.read_bytes().splitlines()[1] == (
+        b'd,block,"ner=none,tok=whitespace,lc=yes,cf=none,sw=none",0.500000,0.250000,0.333333')
+
+
+def test_validate_checks_lexicon_against_taxonomy(tmp_path, rng, capsys):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(rng, 10), path)
+    tax_path, lex_path = _onto_files(tmp_path, extra_lexicon="zebra\tmissing-concept\n")
+    rc = cli.main(["validate", "--dataset", f"d={path}", "--measure", "wbsm-rada",
+                   "--taxonomy", str(tax_path), "--lexicon", str(lex_path)])
+    assert rc == 1
+    assert "'missing-concept'" in capsys.readouterr().err
+
+
+def test_scorers_share_one_word_measure_per_kind(tmp_path, rng, monkeypatch):
+    built = []
+
+    class Counting(ontosim.WordSimMeasure):
+        def __init__(self, kind, *args):
+            built.append(kind)
+            super().__init__(kind, *args)
+
+    monkeypatch.setattr(ontosim, "WordSimMeasure", Counting)
+    tax_path, lex_path = _onto_files(tmp_path)
+    configs = [PreprocessConfig(), PreprocessConfig(lowercase=False)]
+    plan, _ = _plan(tmp_path, rng, [MeasureSpec(m, configs) for m in ("wbsm-rada", "ubsm-rada", "com", "wbsm-jc")],
+                    taxonomy=tax_path, lexicon=lex_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the unannotated concept view warns
+        bench.run(plan)
+    assert sorted(built) == ["jiang-conrath", "rada"]
+
+
+def test_annotations_view_without_annotations_warns_once(tmp_path, rng):
+    tax_path, lex_path = _onto_files(tmp_path)
+    measures = [MeasureSpec("ubsm-rada", [PreprocessConfig(), PreprocessConfig(lowercase=False)]),
+                MeasureSpec("wbsm-rada", [PreprocessConfig()])]
+    plan, _ = _plan(tmp_path, rng, measures, taxonomy=tax_path, lexicon=lex_path)
+    with pytest.warns(UserWarning, match="no sentence has annotations") as caught:
+        bench.run(plan)
+    assert [str(w.message).split(":")[0] for w in caught
+            if "no sentence has annotations" in str(w.message)] == ["ubsm-rada on 'data'"]
+
+    ann_path = tmp_path / "ann.tsv"
+    ann_path.write_text("0\ts1\t0\t1\tC0001\n", encoding="utf-8")
+    plan.annotations = {"data": ann_path}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bench.run(plan)
+    assert not [w for w in caught if "annotations" in str(w.message)]

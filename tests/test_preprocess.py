@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from stsbench.core import Annotation, RawSentence
 from stsbench.preprocess import (
+    OPTIONS,
     ConfigError,
     PreprocessConfig,
-    config_grid,
     full_grid,
     load_char_filter,
     load_stopwords,
@@ -121,6 +121,8 @@ def test_config_validation():
         PreprocessConfig(ner="nope")
     with pytest.raises(ConfigError):
         PreprocessConfig(lowercase="yes")
+    with pytest.raises(ConfigError, match="lowercase"):
+        PreprocessConfig(lowercase=1)
 
 
 def test_config_label():
@@ -128,12 +130,13 @@ def test_config_label():
     assert cfg.label() == "ner=none,tok=whitespace,lc=no,cf=default,sw=none"
 
 
-def test_config_grid_counts_and_order():
-    grid = config_grid({"lowercase": [True, False], "stopwords": ["none", "nltk2018"]})
-    assert len(grid) == 4
-    # last dimension iterates fastest
-    assert [ (g.lowercase, g.stopwords) for g in grid ] == [
-        (True, "none"), (True, "nltk2018"), (False, "none"), (False, "nltk2018")]
+def test_full_grid_order():
+    grid = full_grid(with_ner=True)
+    # last field fastest, each field's values in OPTIONS order
+    ranks = [[OPTIONS[f].index(getattr(g, f)) for f in OPTIONS] for g in grid]
+    assert ranks == sorted(ranks)
+    assert [(g.char_filter, g.stopwords) for g in grid[:4]] == [
+        ("none", "none"), ("none", "biosses"), ("none", "nltk2018"), ("default", "none")]
 
 
 def test_full_grid_size():
@@ -147,13 +150,6 @@ def test_full_grid_at_one_ner_mode():
     assert len(grid) == len(set(grid)) == 48
     assert {cfg.ner for cfg in grid} == {"annotations"}
     assert [replace(cfg, ner="none") for cfg in grid] == full_grid()
-
-
-def test_config_grid_errors():
-    with pytest.raises(ConfigError, match="unknown grid dimensions"):
-        config_grid({"bogus": [1]})
-    with pytest.raises(ConfigError, match="empty value list"):
-        config_grid({"lowercase": []})
 
 
 # surface forms every stage acts on: case, punctuation, hyphen-digit splits,

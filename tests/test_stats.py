@@ -82,6 +82,9 @@ def test_harmonic():
     assert harmonic(0.5, 0.5) == 0.5
     with pytest.raises(DegenerateDataError):
         harmonic(0.3, -0.3)
+    for r, rho in ((0.3, -0.2), (-0.2, 0.3)):
+        with pytest.raises(DegenerateDataError, match="opposite signs"):
+            harmonic(r, rho)
 
 
 def test_uniform_split_sizes(rng):

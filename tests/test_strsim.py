@@ -68,6 +68,16 @@ def test_li_adapted_bit_equal_to_binary_cosine(rng):
         assert li_adapted_sim(set1, set2) == binary_cosine(set1, set2)
 
 
+def test_li_adapted_equal_sets_is_one():
+    # sqrt(n) * sqrt(n) rounds below n for these sizes
+    for n in (3, 6, 12, 13):
+        words = {f"w{i}" for i in range(n)}
+        assert n / (math.sqrt(n) * math.sqrt(n)) > 1.0
+        assert li_adapted_sim(words, set(words)) == 1.0
+    s1, s2 = ("a", "b", "c", "a"), ("a", "b", "c")
+    assert liblock_sim(s1, s2) == 0.5 * block_distance_sim(s1, s2) + 0.5
+
+
 def test_liblock_branches():
     # disjoint vocabularies: falls back to the block score alone
     s1, s2 = ("a", "b"), ("c", "d")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import time
 import warnings
 from collections.abc import Iterator
@@ -19,6 +18,7 @@ from .core import (
     load_annotations,
     load_dataset,
     write_raw_scores,
+    write_table,
 )
 from .preprocess import PreprocessConfig, TokenSequence, token_tables
 from .stats import DegenerateDataError, harmonic, pearson, spearman
@@ -243,12 +243,9 @@ class EvalReport:
         return list(dict.fromkeys(row.config for row in self.rows if row.measure_id == measure_id))
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["dataset", "method", "config", "r", "rho", "h"])
-            for row in self.rows:
-                writer.writerow([row.dataset, row.measure_id, row.config,
-                                 f"{row.r:.6f}", f"{row.rho:.6f}", f"{row.h:.6f}"])
+        write_table(path, ["dataset", "method", "config", "r", "rho", "h"],
+                    ([row.dataset, row.measure_id, row.config, f"{row.r:.6f}", f"{row.rho:.6f}", f"{row.h:.6f}"]
+                     for row in self.rows))
 
     def format_table(self) -> str:
         header = f"{'dataset':<12} {'method':<12} {'r':>8} {'rho':>8} {'h':>8}  config"
@@ -284,13 +281,16 @@ def _run_file_name(run: BenchmarkRun) -> str:
     return f"{run.dataset_name}__{run.measure_id.replace(':', '-')}__{safe_cfg}.csv"
 
 
-def _report_row(result: BenchmarkRun, human: list[float]) -> ReportRow:
+def report_row(result: BenchmarkRun, human: list[float], part: slice = slice(None)) -> ReportRow:
+    """Pearson, Spearman and harmonic score of the run's pairs in ``part`` (all by
+    default); a degenerate statistic gives a nan row and a warning naming the part."""
     try:
-        r = pearson(result.scores, human)
-        rho = spearman(result.scores, human)
+        r = pearson(result.scores[part], human[part])
+        rho = spearman(result.scores[part], human[part])
         h = harmonic(r, rho)
     except DegenerateDataError as exc:
-        warnings.warn(f"{result.measure_id} on {result.dataset_name!r} "
+        where = "" if part == slice(None) else f" pairs[{part.start}:{part.stop}]"
+        warnings.warn(f"{result.measure_id} on {result.dataset_name!r}{where} "
                       f"({result.preprocess_config}): {exc}; reporting nan")
         r = rho = h = float("nan")
     return ReportRow(result.dataset_name, result.measure_id, result.preprocess_config, r, rho, h)
@@ -310,7 +310,7 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
         human = dataset.human_scores()
         for k, result in score_runs(scorers, dataset):
             write_raw_scores(result, out_dir / _run_file_name(result))
-            done[k, name] = result, _report_row(result, human)
+            done[k, name] = result, report_row(result, human)
     ordered = [done[k, name] for k in range(len(scorers)) for name in datasets]
     return [result for result, _ in ordered], EvalReport([row for _, row in ordered])
 

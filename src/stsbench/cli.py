@@ -17,13 +17,13 @@ override plan entries.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import bench, stats
 from .bench import BenchmarkPlan, MeasureSpec, PlanError
+from .core import write_table
 from .preprocess import OPTIONS, PreprocessConfig, full_grid
 
 
@@ -192,29 +192,23 @@ def _single_scorer(args, command: str):
 def _cmd_significance(args) -> int:
     plan = build_plan(args)
     scorers = bench.validate_plan(plan)
-    parts = stats.uniform_split(_single_dataset(plan), args.splits)
-    hs: list[list[float]] = [[] for _ in scorers]
-    for part in parts:
-        for k, result in bench.score_runs(scorers, part):
-            r = stats.pearson(result.scores, part.human_scores())
-            rho = stats.spearman(result.scores, part.human_scores())
-            hs[k].append(stats.harmonic(r, rho))
+    dataset = _single_dataset(plan)
+    parts = stats.uniform_split(len(dataset), args.splits)
+    human = dataset.human_scores()
+    hs = {k: [bench.report_row(result, human, part).h for part in parts]
+          for k, result in bench.score_runs(scorers, dataset)}
     # a measure evaluated at several configs gets one row per config
     ids = [sc.measure_id for sc in scorers]
     labels = [sc.measure_id if ids.count(sc.measure_id) == 1 else f"{sc.measure_id} @ {sc.config.label()}"
               for sc in scorers]
-    matrix = stats.significance_matrix(dict(zip(labels, hs)))
-    out = Path(plan.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / "significance.csv"
-    with dest.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", *matrix.methods])
-        for mi, row in zip(matrix.methods, matrix.p_values):
-            writer.writerow([mi, *("" if v != v else f"{v:.6g}" for v in row)])
+    matrix = stats.significance_matrix({label: hs[k] for k, label in enumerate(labels)})
+    dest = Path(plan.out_dir) / "significance.csv"
+    write_table(dest, ["method", *matrix.methods],
+                ([mi, *("" if v != v else f"{v:.6g}" for v in row)]
+                 for mi, row in zip(matrix.methods, matrix.p_values)))
     print(f"significance matrix over {args.splits} splits written to {dest}")
     if matrix.degenerate.any():
-        print("warning: some comparisons were degenerate (zero-variance differences)")
+        print("warning: some comparisons were degenerate (zero-variance differences or a nan split)")
     return 0
 
 
@@ -222,13 +216,9 @@ def _cmd_error_analysis(args) -> int:
     plan, scorer, dataset = _single_scorer(args, "error-analysis")
     result = bench.score_dataset(scorer, dataset)
     analysis = stats.error_analysis(result, dataset)
-    out = Path(plan.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / "error_kde.csv"
-    with dest.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,density\n")
-        for x, d in zip(analysis.kde_x, analysis.kde_density):
-            fh.write(f"{x:.10g},{d:.10g}\n")
+    dest = Path(plan.out_dir) / "error_kde.csv"
+    write_table(dest, ["x", "density"],
+                ([f"{x:.10g}", f"{d:.10g}"] for x, d in zip(analysis.kde_x, analysis.kde_density)))
     print(f"mean error {analysis.mean:+.4f}, bandwidth {analysis.bandwidth:.5f}"
           + (" (fallback)" if analysis.bandwidth_fallback else ""))
     print(f"closest pair {analysis.idx_min_abs}, farthest pair {analysis.idx_max_abs}")

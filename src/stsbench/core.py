@@ -228,6 +228,13 @@ def _render_score(x: float) -> str:
     return format(x, ".17g")
 
 
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows as LF-terminated CSV, creating the parent directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
 def write_raw_scores(run: BenchmarkRun, path: str | Path) -> None:
     path = Path(path)
     try:

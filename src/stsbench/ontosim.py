@@ -242,11 +242,6 @@ class WordSimMeasure:
         return 1.0 - min(1.0, d / (2.0 * ic_max))
 
 
-def exact_match_sim(w1: str, w2: str) -> float:
-    """0/1 word similarity; reduces the semantic vectors to binary vectors."""
-    return 1.0 if w1 == w2 else 0.0
-
-
 def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],
                         word_sim: Callable[[str, str], float]) -> float:
     """Cosine of the two semantic vectors over the joint word set.

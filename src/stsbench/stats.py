@@ -50,14 +50,6 @@ def spearman(x, y) -> float:
     return pearson(average_ranks(xa), average_ranks(ya))
 
 
-def spearman_closed_form(x, y) -> float:
-    """Tie-free closed form; callers must guarantee tie-free inputs."""
-    xa, ya = _as_pair(x, y)
-    n = len(xa)
-    d = average_ranks(xa) - average_ranks(ya)
-    return 1.0 - 6.0 * float(np.sum(d * d)) / (n * (n * n - 1))
-
-
 def harmonic(r: float, rho: float) -> float:
     """Harmonic combination 2*r*rho / (r + rho) of the two correlations.
 
@@ -72,23 +64,17 @@ def harmonic(r: float, rho: float) -> float:
     return 2.0 * r * rho / (r + rho)
 
 
-def uniform_split(dataset: Dataset, k: int = 10) -> list[Dataset]:
-    """Split into k contiguous, order-preserving, near-uniform parts.
+def uniform_split(n: int, k: int = 10) -> list[slice]:
+    """Split ``range(n)`` into k contiguous, near-uniform slices.
 
-    The first ``len % k`` parts get the extra pair each; concatenating the
-    parts reproduces the dataset.
+    The first ``n % k`` slices get the extra item each; together they cover
+    ``range(n)`` in order.
     """
-    n = len(dataset)
     if k <= 0 or k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     base, extra = divmod(n, k)
-    parts = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        parts.append(Dataset(f"{dataset.name}[{i}]", dataset.pairs[start : start + size]))
-        start += size
-    return parts
+    bounds = [i * base + min(i, extra) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def paired_ttest_one_sided(sample_a, sample_b) -> float:
@@ -96,8 +82,8 @@ def paired_ttest_one_sided(sample_a, sample_b) -> float:
     a, b = _as_pair(sample_a, sample_b)
     d = a - b
     sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
-        raise DegenerateDataError("paired differences have zero variance")
+    if not sd > 0.0:  # zero, or nan from a nan score
+        raise DegenerateDataError("paired differences have zero or undefined variance")
     n = len(d)
     t = float(np.mean(d)) / (sd / np.sqrt(n))
     return float(scipy_stats.t.sf(t, df=n - 1))
@@ -113,9 +99,10 @@ class SignificanceMatrix:
 def significance_matrix(runs: dict[str, list[float]]) -> SignificanceMatrix:
     """Pairwise one-sided paired t-tests over per-split harmonic scores.
 
-    Degenerate pairs (zero-variance differences) are flagged and reported
-    as p = 0 when the mean difference is positive, p = 1 when negative,
-    and nan when the score vectors are identical.
+    Degenerate pairs (zero-variance differences, or a nan split score) are
+    flagged and reported as p = 0 when the mean difference is positive,
+    p = 1 when negative, and nan when the score vectors are identical or
+    hold a nan.
     """
     methods = tuple(runs)
     lengths = {len(v) for v in runs.values()}
@@ -151,16 +138,20 @@ class ErrorSample:
     bandwidth_fallback: bool
 
 
-def _rule_of_thumb_bandwidth(errors: np.ndarray) -> float:
-    sd = float(np.std(errors, ddof=1))
+def _rule_of_thumb_bandwidth(errors: np.ndarray) -> tuple[float, bool]:
+    # all-equal errors can have a nonzero float sd, a rounding residue
+    sd = float(np.std(errors, ddof=1)) if errors.max() > errors.min() else 0.0
     q75, q25 = np.percentile(errors, [75, 25])
-    iqr = float(q75 - q25)
-    return 0.9 * min(sd, iqr / 1.34) * len(errors) ** (-0.2)
+    spread = min(sd, float(q75 - q25) / 1.34)
+    if spread == 0.0:  # ties make the IQR 0
+        return (0.9 * sd * len(errors) ** (-0.2) if sd > 0.0 else 1e-3), True
+    return 0.9 * spread * len(errors) ** (-0.2), False
 
 
 def gaussian_kde(sample: np.ndarray, bandwidth: float, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-kernel density on an equispaced grid spanning the sample +/- 3 bandwidths."""
-    grid = np.linspace(sample.min() - 3.0 * bandwidth, sample.max() + 3.0 * bandwidth, points)
+    """Gaussian-kernel density on an equispaced grid spanning the sample +/- 4
+    bandwidths, outside which lies at most 2 * Phi(-4), about 6.3e-5, of its mass."""
+    grid = np.linspace(sample.min() - 4.0 * bandwidth, sample.max() + 4.0 * bandwidth, points)
     z = (grid[:, None] - sample[None, :]) / bandwidth
     density = np.exp(-0.5 * z * z).sum(axis=1) / (len(sample) * bandwidth * np.sqrt(2.0 * np.pi))
     return grid, density
@@ -169,8 +160,10 @@ def gaussian_kde(sample: np.ndarray, bandwidth: float, points: int = 512) -> tup
 def error_analysis(run: BenchmarkRun, dataset: Dataset, kde_points: int = 512) -> ErrorSample:
     """Similarity errors (method minus human) with a kernel density estimate.
 
-    The bandwidth is the 0.9 * min(sd, IQR/1.34) * n^(-1/5) rule; a zero
-    bandwidth (all-equal errors) falls back to 1e-3 with a flag.
+    The bandwidth is Silverman's (1986) 0.9 * min(sd, IQR/1.34) * n^(-1/5)
+    rule. Where that gives 0, ``bandwidth_fallback`` is set and the bandwidth
+    is 0.9 * sd * n^(-1/5) when ties make the IQR 0, or 1e-3 when every error
+    is equal.
     """
     if len(run.scores) != len(dataset):
         raise ValueError(f"run has {len(run.scores)} scores, dataset {len(dataset)} pairs")
@@ -178,10 +171,7 @@ def error_analysis(run: BenchmarkRun, dataset: Dataset, kde_points: int = 512) -
         raise ValueError("need at least 2 pairs for error analysis")
     errors = np.asarray(run.scores, dtype=float) - np.asarray(dataset.human_scores(), dtype=float)
     abs_errors = np.abs(errors)
-    bandwidth = _rule_of_thumb_bandwidth(errors)
-    fallback = bandwidth <= 0.0
-    if fallback:
-        bandwidth = 1e-3
+    bandwidth, fallback = _rule_of_thumb_bandwidth(errors)
     grid, density = gaussian_kde(errors, bandwidth, kde_points)
     return ErrorSample(
         errors=errors,

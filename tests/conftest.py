@@ -2,11 +2,26 @@ import numpy as np
 import pytest
 
 from stsbench.core import Dataset, RawSentence, SentencePair
+from stsbench.stats import _as_pair, average_ranks
 
 # Trapezoid-rule integral over the declared numpy range: numpy 2.0 added
 # np.trapezoid and numpy 2.4 removed np.trapz, so np.trapz is looked up only
 # when np.trapezoid is missing.
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+
+
+def spearman_closed_form(x, y) -> float:
+    """Tie-free closed form; callers must guarantee tie-free inputs."""
+    xa, ya = _as_pair(x, y)
+    n = len(xa)
+    d = average_ranks(xa) - average_ranks(ya)
+    return 1.0 - 6.0 * float(np.sum(d * d)) / (n * (n * n - 1))
+
+
+def exact_match_sim(w1: str, w2: str) -> float:
+    """0/1 word similarity; reduces the semantic vectors to binary vectors."""
+    return 1.0 if w1 == w2 else 0.0
+
 
 VOCAB = (
     "gene cell protein tumor mouse pathway kinase receptor signal growth "

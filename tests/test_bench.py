@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, random_dag
 from stsbench import bench, cli, ontosim
@@ -17,10 +19,10 @@ from stsbench.bench import (
     throughput,
     validate_plan,
 )
-from stsbench.core import read_raw_scores, write_dataset
+from stsbench.core import Dataset, read_raw_scores, write_dataset
 from stsbench.ontosim import Taxonomy
 from stsbench.preprocess import PreprocessConfig, full_grid, preprocess
-from stsbench.stats import harmonic
+from stsbench.stats import harmonic, uniform_split
 from stsbench.strsim import liblock_sim
 
 
@@ -303,6 +305,49 @@ def test_significance_keeps_every_config(tmp_path, rng):
     labels = [PreprocessConfig().label(), PreprocessConfig(lowercase=False).label()]
     assert rows[1].startswith(f'"block @ {labels[0]}",')
     assert rows[2].startswith(f'"block @ {labels[1]}",')
+
+
+def test_significance_degenerate_split_is_an_empty_cell(tmp_path, capsys):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 20), path)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match=r"qgram on 'd' pairs\[0:4\] .*zero variance"):
+        rc = cli.main(["significance", "--dataset", f"d={path}", "--measure", "block",
+                       "--measure", "qgram", "--splits", "5", "--out", str(out)])
+    assert rc == 0
+    assert (out / "significance.csv").read_text().splitlines() == ["method,block,qgram", "block,,", "qgram,,"]
+    assert "some comparisons were degenerate" in capsys.readouterr().out
+
+
+def test_significance_warns_once_per_dataset(tmp_path, rng):
+    tax_path, lex_path = _onto_files(tmp_path)
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(rng, 20), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["significance", "--dataset", f"d={path}", "--measure", "ubsm-rada",
+                       "--taxonomy", str(tax_path), "--lexicon", str(lex_path),
+                       "--splits", "4", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert [str(w.message).split(":")[0] for w in caught
+            if "no sentence has annotations" in str(w.message)] == ["ubsm-rada on 'd'"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(8, 30), k=st.integers(1, 4),
+       measure=st.sampled_from(bench.STRING_MEASURES), config=st.sampled_from(full_grid()))
+def test_sliced_h_equals_h_of_the_part_scored_alone(seed, n, k, measure, config):
+    ds = make_dataset(np.random.default_rng(seed), n)
+    scorer = PairScorer(measure, config, Resources())
+    human = ds.human_scores()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate parts and emptied sentences warn
+        whole = score_dataset(scorer, ds)
+        for part in uniform_split(n, k):
+            alone = Dataset(ds.name, ds.pairs[part])
+            h_alone = bench.report_row(score_dataset(scorer, alone), alone.human_scores()).h
+            h_sliced = bench.report_row(whole, human, part).h
+            assert np.float64(h_sliced).tobytes() == np.float64(h_alone).tobytes()
 
 
 def test_plan_rejects_unknown_keys(tmp_path, rng, capsys):

@@ -5,13 +5,12 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from conftest import random_dag
+from conftest import exact_match_sim, random_dag
 from stsbench.ontosim import (
     Taxonomy,
     TaxonomyError,
     WordSimMeasure,
     com,
-    exact_match_sim,
     load_lexicon,
     load_taxonomy,
     semantic_vector_sim,

@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 from scipy import stats as scipy_stats
 
-from conftest import make_dataset, trapezoid
-from stsbench.core import BenchmarkRun
+from conftest import make_dataset, spearman_closed_form, trapezoid
+from stsbench.core import BenchmarkRun, Dataset, RawSentence, SentencePair
 from stsbench.stats import (
     DegenerateDataError,
     average_ranks,
@@ -17,7 +17,6 @@ from stsbench.stats import (
     pearson,
     significance_matrix,
     spearman,
-    spearman_closed_form,
     uniform_split,
 )
 
@@ -89,21 +88,20 @@ def test_harmonic():
 
 def test_uniform_split_sizes(rng):
     ds = make_dataset(rng, 25)
-    parts = uniform_split(ds, 4)
+    parts = [ds.pairs[s] for s in uniform_split(len(ds), 4)]
     assert [len(p) for p in parts] == [7, 6, 6, 6]
-    rebuilt = tuple(pair for p in parts for pair in p.pairs)
+    rebuilt = tuple(pair for p in parts for pair in p)
     assert rebuilt == ds.pairs
-    assert parts[0].name == "synthetic[0]"
 
 
 def test_uniform_split_errors(rng):
     ds = make_dataset(rng, 5)
     with pytest.raises(ValueError):
-        uniform_split(ds, 0)
+        uniform_split(len(ds), 0)
     with pytest.raises(ValueError):
-        uniform_split(ds, 6)
-    assert len(uniform_split(ds, 5)) == 5
-    assert len(uniform_split(ds, 1)) == 1
+        uniform_split(len(ds), 6)
+    assert len(uniform_split(len(ds), 5)) == 5
+    assert len(uniform_split(len(ds), 1)) == 1
 
 
 def test_paired_ttest_small_sample():
@@ -162,6 +160,18 @@ def test_significance_matrix_degenerate_pairs():
     assert mat.degenerate[i, k] and np.isnan(mat.p_values[i, k])
 
 
+def test_significance_matrix_nan_split_score():
+    runs = {
+        "a": [0.5, 0.6, 0.8, 0.7],
+        "b": [0.4, 0.5, 0.6, 0.65],
+        "undefined": [0.5, float("nan"), 0.7, 0.6],
+    }
+    mat = significance_matrix(runs)
+    assert not mat.degenerate[0, 1] and 0.0 < mat.p_values[0, 1] < 1.0
+    for i, j in ((0, 2), (2, 0), (1, 2), (2, 1)):
+        assert mat.degenerate[i, j] and np.isnan(mat.p_values[i, j])
+
+
 def test_significance_matrix_length_mismatch():
     with pytest.raises(ValueError, match="differing split counts"):
         significance_matrix({"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]})
@@ -175,8 +185,8 @@ def test_gaussian_kde_matches_direct_sum(rng):
     direct = sum(math.exp(-0.5 * ((at - s) / bw) ** 2) for s in sample)
     direct /= len(sample) * bw * math.sqrt(2 * math.pi)
     assert density[10] == pytest.approx(direct, abs=1e-12)
-    assert grid[0] == pytest.approx(sample.min() - 3 * bw)
-    assert grid[-1] == pytest.approx(sample.max() + 3 * bw)
+    assert grid[0] == pytest.approx(sample.min() - 4 * bw)
+    assert grid[-1] == pytest.approx(sample.max() + 4 * bw)
 
 
 def test_error_analysis(rng):
@@ -200,6 +210,29 @@ def test_error_analysis_bandwidth_fallback(rng):
     es = error_analysis(run, ds)  # all errors identical (zero)
     assert es.bandwidth_fallback
     assert es.bandwidth == 1e-3
+    # eleven equal errors of 0.6 - 0.5 have a float sd of 1.5e-17, a rounding residue
+    pairs = tuple(SentencePair(RawSentence("a"), RawSentence("b"), 0.5) for _ in range(11))
+    es = error_analysis(BenchmarkRun("d", "m", "cfg", (0.6,) * 11), Dataset("d", pairs))
+    assert es.bandwidth_fallback
+    assert es.bandwidth == 1e-3
+
+
+def test_error_analysis_tie_cluster_integrates_to_one():
+    # 35 tied errors make the IQR 0; the sd rule and the +/- 4 bandwidth span
+    # keep the density's integral within criterion 7's bound
+    rng = np.random.default_rng(7)
+    n = 40
+    ds = make_dataset(rng, n)
+    worst = 0.0
+    for _ in range(50):
+        errors = np.concatenate([np.zeros(n - 5), rng.uniform(-0.5, 0.5, size=5)])
+        human = np.array(ds.human_scores())
+        run = BenchmarkRun(ds.name, "m", "cfg", tuple(human + errors))
+        es = error_analysis(run, ds)
+        assert es.bandwidth_fallback
+        assert es.bandwidth == 0.9 * np.std(es.errors, ddof=1) * n ** (-0.2)
+        worst = max(worst, abs(float(trapezoid(es.kde_density, es.kde_x)) - 1.0))
+    assert worst <= 1e-3
 
 
 def test_error_analysis_validation(rng):

@@ -193,6 +193,10 @@ def _cmd_significance(args) -> int:
     plan = build_plan(args)
     scorers = bench.validate_plan(plan)
     dataset = _single_dataset(plan)
+    if args.splits > len(dataset) // 2:
+        raise PlanError(f"--splits {args.splits} is too many for dataset {dataset.name!r} "
+                        f"of {len(dataset)} pairs: each split needs at least 2 pairs, "
+                        f"so at most {len(dataset) // 2} splits")
     parts = stats.uniform_split(len(dataset), args.splits)
     human = dataset.human_scores()
     hs = {k: [bench.report_row(result, human, part).h for part in parts]

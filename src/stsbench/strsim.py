@@ -112,18 +112,41 @@ def overlap_sim(set1: Iterable[str], set2: Iterable[str]) -> float:
 
 
 def levenshtein_distance(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert, delete, substitute)."""
+    """Unit-cost edit distance (insert, delete, substitute).
+
+    Myers' bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's
+    edit-distance form (2003): one DP column over the m characters of the
+    shorter string is held as m-bit vertical +1/-1 delta vectors ``pv`` and
+    ``mv``, and each character of the longer string updates them with a
+    fixed handful of operations on m-bit Python ints, O(n) big-int
+    operations in all. The score is tracked at bit m - 1.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << len(b)) - 1
+    top = 1 << (len(b) - 1)
+    pv, mv, score = mask, 0, len(b)
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # the shifted-in 1 is row 0's +1 step: a global, not a search, distance
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def levenshtein_sim(s1: Sequence[str], s2: Sequence[str]) -> float:

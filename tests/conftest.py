@@ -23,6 +23,21 @@ def exact_match_sim(w1: str, w2: str) -> float:
     return 1.0 if w1 == w2 else 0.0
 
 
+def levenshtein_dp(a: str, b: str) -> int:
+    """Wagner-Fischer O(nm) dynamic program; the oracle of the bit-vector kernel."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
 VOCAB = (
     "gene cell protein tumor mouse pathway kinase receptor signal growth "
     "factor binding expression level tissue patient clinical trial dose response "

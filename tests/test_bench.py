@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dag
+from conftest import levenshtein_dp, make_dataset, random_dag
 from stsbench import bench, cli, ontosim
 from stsbench.bench import (
     BenchmarkPlan,
@@ -152,6 +156,34 @@ def test_run_writes_reports_and_raw_scores(tmp_path, rng):
     assert "block" in report.format_table()
 
 
+def test_levenshtein_run_matches_dp_bit_for_bit(tmp_path, rng):
+    import dataclasses
+    from stsbench.core import RawSentence
+    ds = make_dataset(rng, 20)
+    pairs = list(ds.pairs)
+    # punctuation-only sides empty under every char filter: one side, then both
+    pairs[3] = dataclasses.replace(pairs[3], s1=RawSentence(". , ;"))
+    pairs[7] = dataclasses.replace(pairs[7], s1=RawSentence("( ) !"), s2=RawSentence("? :"))
+    ds = dataclasses.replace(ds, pairs=tuple(pairs))
+    path = tmp_path / "data.tsv"
+    write_dataset(ds, path)
+    configs = [PreprocessConfig(char_filter=cf) for cf in ("none", "default", "biosses", "blagec2019")]
+    plan = BenchmarkPlan({"data": path}, [MeasureSpec("levenshtein", configs)], out_dir=tmp_path / "out")
+    with pytest.warns(UserWarning, match="empty token sequence"):
+        runs, _ = bench.run(plan)
+    assert len(runs) == len(configs)
+    for run, cfg in zip(runs, configs):
+        expected = []
+        for pair in ds.pairs:
+            a, b = (" ".join(preprocess(s, cfg)) for s in (pair.s1, pair.s2))
+            longest = max(len(a), len(b))
+            expected.append(1.0 - levenshtein_dp(a, b) / longest if longest else 1.0)
+        assert run.scores == tuple(expected)
+        assert read_raw_scores(plan.out_dir / bench._run_file_name(run)).scores == run.scores
+        if cfg.char_filter != "none":
+            assert (run.scores[3], run.scores[7]) == (0.0, 1.0)
+
+
 def test_run_with_swem_rescales_to_unit_interval(tmp_path, rng):
     vec = tmp_path / "vectors.txt"
     from conftest import VOCAB
@@ -284,6 +316,19 @@ def test_cli_end_to_end(tmp_path, rng, capsys):
     assert len(kde_lines) == 513
 
 
+def test_python_m_stsbench_runs_from_a_checkout(tmp_path):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 4), path)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"dataset.d = {path}\nmeasure = block\n")
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "stsbench", "validate", "--plan", str(plan)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "plan OK: 1 dataset(s), 1 measure(s), 1 run(s)"
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = cli.main(["run", "--dataset", "d=/nonexistent.tsv", "--measure", "block"])
     assert rc == 1
@@ -317,6 +362,20 @@ def test_significance_degenerate_split_is_an_empty_cell(tmp_path, capsys):
     assert rc == 0
     assert (out / "significance.csv").read_text().splitlines() == ["method,block,qgram", "block,,", "qgram,,"]
     assert "some comparisons were degenerate" in capsys.readouterr().out
+
+
+def test_significance_rejects_one_pair_splits_before_scoring(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 20), path)
+    args = ["significance", "--dataset", f"d={path}", "--measure", "jaccard",
+            "--measure", "block", "--out", str(tmp_path / "out")]
+    with monkeypatch.context() as m:
+        m.setattr(bench, "score_runs", lambda *a: pytest.fail("scored before the --splits check"))
+        assert cli.main([*args, "--splits", "11"]) == 1
+    assert ("error: --splits 11 is too many for dataset 'd' of 20 pairs: "
+            "each split needs at least 2 pairs, so at most 10 splits") in capsys.readouterr().err
+    assert cli.main([*args, "--splits", "10"]) == 0
+    assert (tmp_path / "out" / "significance.csv").is_file()
 
 
 def test_significance_warns_once_per_dataset(tmp_path, rng):

@@ -3,8 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import VOCAB, random_tokens
+from conftest import VOCAB, levenshtein_dp, random_tokens
 from stsbench.strsim import (
     EmptyInputError,
     block_distance_sim,
@@ -137,6 +139,27 @@ def test_levenshtein_triangle_inequality(rng):
     for _ in range(200):
         a, b, c = ("".join(rng.choice(alphabet, size=rng.integers(0, 8))) for _ in range(3))
         assert levenshtein_distance(a, c) <= levenshtein_distance(a, b) + levenshtein_distance(b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.text(max_size=160), b=st.text(max_size=160))
+def test_levenshtein_distance_matches_dp(a, b):
+    d = levenshtein_distance(a, b)
+    assert d == levenshtein_dp(a, b)
+    assert d == levenshtein_distance(b, a)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129])
+def test_levenshtein_distance_at_word_boundaries(rng, m):
+    # the shorter side's length sets the bit-vector width m
+    for _ in range(5):
+        short = "".join(rng.choice(list("acgt"), size=m))
+        long = "".join(rng.choice(list("acgt"), size=m + int(rng.integers(0, 70))))
+        for a, b in ((short, long), (long, short), (short, short[::-1])):
+            assert levenshtein_distance(a, b) == levenshtein_dp(a, b)
+    disjoint = "".join(rng.choice(list("wxyz"), size=m + 10))
+    assert levenshtein_distance(short, disjoint) == levenshtein_dp(short, disjoint) == m + 10
+    assert levenshtein_distance("x" * m, "y" * m) == m
 
 
 def test_levenshtein_sim():

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
 
+import numpy as np
+
 from . import ontosim, strsim, vecsim
 from .core import (
     BenchmarkRun,
@@ -30,13 +32,15 @@ class PlanError(ValueError):
 
 # measure id -> (family, how it is computed). "string": the kernel's name in
 # ``strsim``, looked up when a scorer is built so that a kernel replaced on the
-# module (by a profiler, say) is the one called. "ontology": the word-similarity
-# kind and the NER modes of the token views it reads; UBSM is WBSM over the
-# concept-substituted view, COM averages the two. "swem": the pooling mode.
+# module (by a profiler, say) is the one called, or None for the five token
+# measures that ``strsim.token_pair_scores`` scores for all pairs of a table at
+# once. "ontology": the word-similarity kind and the NER modes of the token
+# views it reads; UBSM is WBSM over the concept-substituted view, COM averages
+# the two. "swem": the pooling mode.
 MEASURES = {
-    "qgram": ("string", "qgram_sim"), "jaccard": ("string", "jaccard_sim"),
-    "block": ("string", "block_distance_sim"), "liblock": ("string", "liblock_sim"),
-    "levenshtein": ("string", "levenshtein_sim"), "overlap": ("string", "overlap_sim"),
+    "qgram": ("string", None), "jaccard": ("string", None),
+    "block": ("string", None), "liblock": ("string", None),
+    "levenshtein": ("string", "levenshtein_sim"), "overlap": ("string", None),
     "wbsm-rada": ("ontology", ("rada", ("none",))),
     "wbsm-jc": ("ontology", ("jiang-conrath", ("none",))),
     "ubsm-rada": ("ontology", ("rada", ("annotations",))),
@@ -74,8 +78,8 @@ class PairScorer:
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
     measures (both for ``com``). ``score_tokens`` takes each side's tokens,
-    a tuple with one sequence per view when there are several. String
-    measures follow the empty-input rule of :func:`strsim.with_empty_rule`.
+    a tuple with one sequence per view when there are several; it is None
+    for the measures that :func:`strsim.token_pair_scores` scores.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -86,7 +90,7 @@ class PairScorer:
         self.views: tuple[PreprocessConfig, ...] = (config,)
         family, how = MEASURES[measure_id]
         if family == "string":
-            self.score_tokens = strsim.with_empty_rule(getattr(strsim, how))
+            self.score_tokens = getattr(strsim, how) if how else None
         elif family == "swem":
             vectors = resources.vectors
             if vectors is None:
@@ -173,12 +177,15 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
 
     Each distinct sentence is pre-processed once per config
     (:func:`token_tables`, in grid order) and every scorer reading that
-    config scores from the same table. A table is dropped as soon as no
-    pending scorer needs it. A measure that reads the ``ner=annotations``
-    view of a dataset without annotations warns once.
+    config scores from the same table: the five token measures from one
+    :func:`strsim.token_pair_scores` call per table, the others pair by pair.
+    A table is dropped as soon as no pending scorer needs it. A measure that
+    reads the ``ner=annotations`` view of a dataset without annotations warns
+    once.
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
+    pair_index = np.array(pairs)
     if not any(s.annotations for s in ids):
         for mid in dict.fromkeys(s.measure_id for s in scorers if any(v.ner == "annotations" for v in s.views)):
             warnings.warn(f"{mid} on {dataset.name!r}: no sentence has annotations, so the "
@@ -187,16 +194,27 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
     tables: dict[PreprocessConfig, list[TokenSequence]] = {}
     for cfg, table in token_tables(list(ids), {v for s in scorers for v in s.views}):
         tables[cfg] = table
-        for k, scorer in list(pending.items()):
-            if all(v in tables for v in scorer.views):
-                del pending[k]
-                yield k, _score_pairs(scorer, dataset.name, [tables[v] for v in scorer.views], pairs)
+        lengths = np.fromiter(map(len, table), np.int64, len(table))
+        empty = np.count_nonzero(lengths[pair_index].min(axis=1) == 0)
+        batch = None
+        for k in [k for k, s in pending.items() if all(v in tables for v in s.views)]:
+            scorer = pending.pop(k)
+            if scorer.score_tokens is not None:
+                scores = _score_pairs(scorer, dataset.name, [tables[v] for v in scorer.views], pairs)
+            else:
+                batch = batch or strsim.token_pair_scores(table, pair_index)
+                scores = batch[scorer.measure_id].tolist()
+            # a string measure reads one view, so it is ready only with its own table
+            if MEASURES[scorer.measure_id][0] == "string" and empty:
+                warnings.warn(f"{scorer.measure_id} on {dataset.name!r} ({scorer.config.label()}): {empty} "
+                              "pair(s) with an empty token sequence scored by the empty-input rule")
+            yield k, BenchmarkRun(dataset.name, scorer.measure_id, scorer.config.label(), tuple(scores))
         needed = {v for s in pending.values() for v in s.views}
         tables = {v: t for v, t in tables.items() if v in needed}
 
 
 def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]],
-                 pairs: list[tuple[int, int]]) -> BenchmarkRun:
+                 pairs: list[tuple[int, int]]) -> list[float]:
     table = views[0] if len(views) == 1 else list(zip(*views))
     score = scorer.score_tokens
     scores: list[float] = []
@@ -206,12 +224,7 @@ def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]]
     except Exception as exc:
         raise RuntimeError(
             f"{scorer.measure_id} failed on pair {len(scores)} of {name!r}: {exc}") from exc
-    if MEASURES[scorer.measure_id][0] == "string":
-        empty = sum(1 for a, b in pairs if not table[a] or not table[b])
-        if empty:
-            warnings.warn(f"{scorer.measure_id} on {name!r} ({scorer.config.label()}): {empty} "
-                          "pair(s) with an empty token sequence scored by the empty-input rule")
-    return BenchmarkRun(name, scorer.measure_id, scorer.config.label(), tuple(scores))
+    return scores
 
 
 def score_dataset(scorer: PairScorer, dataset: Dataset) -> BenchmarkRun:

@@ -6,9 +6,9 @@ File formats handled here:
   A header line is auto-detected when the third field is not numeric.
   Extra trailing columns are ignored with a warning.
 * Annotation sidecar TSV: ``row_index<TAB>s1|s2<TAB>start<TAB>end<TAB>code``.
-* Raw-score CSV: header ``pair_index,score``, one row per pair, scores
-  rendered with 17 significant digits so that a read/write round trip is
-  bit-exact.
+* Raw-score CSV: header ``pair_index,score``, one row per pair, CRLF line
+  ends (the ``csv`` module's default), scores rendered with 17 significant
+  digits so that a read/write round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -237,12 +237,10 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
 
 def write_raw_scores(run: BenchmarkRun, path: str | Path) -> None:
     path = Path(path)
+    rows = "".join([f"{i},{score:.17g}\r\n" for i, score in enumerate(run.scores)])
     try:
         with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pair_index", "score"])
-            for i, score in enumerate(run.scores):
-                writer.writerow([i, _render_score(score)])
+            fh.write("pair_index,score\r\n" + rows)
     except OSError as exc:
         raise DatasetError(f"cannot write raw scores to {path}: {exc}") from exc
 

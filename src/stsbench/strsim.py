@@ -1,26 +1,29 @@
 """String-based sentence similarity measures over pre-processed token sequences.
 
 All measures are symmetric and return values in [0, 1]. A kernel raises
-:class:`EmptyInputError` where it is undefined on empty operands; the
-benchmark scores through :func:`with_empty_rule`, under which an empty
-sequence scores 0.0 against a non-empty one and 1.0 against an empty one,
-as ``levenshtein_sim`` and the kernels that do not raise already score.
+:class:`EmptyInputError` where it is undefined on empty operands.
+
+:func:`token_pair_scores` scores the five token measures (block, liblock,
+jaccard, overlap and token q-gram) for every pair of a token table at once,
+from sparse count matrices, bit for bit as the per-pair kernels score them.
+It applies the empty-input rule as a mask: an empty sequence scores 0.0
+against a non-empty one and 1.0 against an empty one, as ``levenshtein_sim``
+and the kernels that do not raise already score.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+from scipy.sparse import csr_array
+
 
 class EmptyInputError(ValueError):
     """A measure was applied to an empty token sequence or word set."""
-
-
-def with_empty_rule(kernel):
-    """``kernel`` on two non-empty sequences, else 0.0 (one side empty) or 1.0 (both)."""
-    return lambda s1, s2: kernel(s1, s2) if s1 and s2 else (0.0 if s1 or s2 else 1.0)
 
 
 def token_profile(tokens: Sequence[str]) -> Counter:
@@ -109,6 +112,82 @@ def overlap_sim(set1: Iterable[str], set2: Iterable[str]) -> float:
     if not set1 or not set2:
         raise EmptyInputError("word sets must be non-empty")
     return len(set1 & set2) / min(len(set1), len(set2))
+
+
+def _count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> csr_array:
+    """CSR matrix whose (r, c) entry counts the occurrences of (r, c) in ``zip(rows, cols)``,
+    built from sorted keys, so each row's columns are sorted and distinct."""
+    keys, counts = np.unique(rows * shape[1] + cols, return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    return csr_array((counts, keys % shape[1], indptr), shape=shape)
+
+
+def _token_ids(table: Sequence[Sequence[str]]) -> tuple[np.ndarray, int]:
+    """The tokens of ``table``, concatenated, as ids numbered in order of first
+    appearance, and the number of distinct tokens."""
+    flat = list(itertools.chain.from_iterable(table))
+    vocab = dict(zip(dict.fromkeys(flat), itertools.count()))
+    return np.fromiter(map(vocab.__getitem__, flat), np.int64, len(flat)), len(vocab)
+
+
+def _trigram_counts(ids: np.ndarray, rows: np.ndarray, lengths: np.ndarray, pad: int) -> csr_array:
+    """Count matrix of each sequence's token trigrams; ``ids[k]`` is a token of
+    sequence ``rows[k]``, sequences being consecutive and ``lengths`` long.
+
+    A sequence of L >= 3 tokens has L - 2 trigrams, and one of 1 or 2 tokens
+    one shingle padded with ``pad``, an id no token has. Trigrams are keyed
+    by compact integer ids, a bigram id first and then a trigram id.
+    """
+    # each sequence is followed by two pad ids in ``padded``
+    place = np.arange(len(ids)) + 2 * rows
+    padded = np.full(len(ids) + 2 * len(lengths), pad, np.int64)
+    padded[place] = ids
+    # a shingle starts at each of the first max(L - 2, min(L, 1)) tokens
+    in_sequence = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    opens = in_sequence < np.maximum(lengths - 2, np.minimum(lengths, 1))[rows]
+    at, width = place[opens], pad + 1
+    bigram = np.unique(padded[at] * width + padded[at + 1], return_inverse=True)[1]
+    trigram = np.unique(bigram * width + padded[at + 2], return_inverse=True)[1]
+    return _count_matrix(rows[opens], trigram, (len(lengths), int(trigram.max(initial=-1)) + 1))
+
+
+def token_pair_scores(table: Sequence[Sequence[str]], pairs) -> dict[str, np.ndarray]:
+    """Block, liblock, jaccard, overlap and (3-token) qgram scores of every
+    ``(table[i], table[j])`` for ``(i, j)`` in ``pairs``, an (n, 2) array-like,
+    as float64 arrays under the empty-input rule.
+
+    Each score equals the per-pair kernel's bit for bit: the float arithmetic
+    is the kernel's, and only the integer counts it takes from ``Counter``s,
+    sets and shingles come from sparse row sums instead, over ``counts`` (of
+    each token per sequence), its 0/1 twin ``words`` and ``shingles`` (of
+    each token trigram per sequence).
+    """
+    lengths = np.fromiter(map(len, table), np.int64, len(table))
+    ids, n_ids = _token_ids(table)
+    rows = np.repeat(np.arange(len(table)), lengths)
+    counts = _count_matrix(rows, ids, (len(table), n_ids))
+    words = csr_array((np.ones_like(counts.data), counts.indices, counts.indptr), shape=counts.shape)
+    shingles = _trigram_counts(ids, rows, lengths, pad=n_ids)
+    distinct, n_shingles = np.diff(words.indptr), shingles.sum(axis=1)
+
+    left, right = np.asarray(pairs, np.intp).reshape(-1, 2).T
+    n1, n2, u1, u2 = lengths[left], lengths[right], distinct[left], distinct[right]
+    diff = abs(counts[left] - counts[right]).sum(axis=1)
+    inter = words[left].multiply(words[right]).sum(axis=1)
+    q_inter = shingles[left].minimum(shingles[right]).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block = 1.0 - diff / (n1 + n2)
+        liad = np.minimum(1.0, inter / (np.sqrt(u1) * np.sqrt(u2)))
+        scores = {
+            "block": block,
+            "liblock": np.where(liad == 0.0, block, 0.5 * block + 0.5 * liad),
+            "jaccard": inter / (u1 + u2 - inter),
+            "overlap": inter / np.minimum(u1, u2),
+            "qgram": 2.0 * q_inter / (n_shingles[left] + n_shingles[right]),
+        }
+    empty = (n1 == 0) | (n2 == 0)
+    both = ((n1 == 0) & (n2 == 0)).astype(np.float64)
+    return {m: np.where(empty, both, s) for m, s in scores.items()}
 
 
 def levenshtein_distance(a: str, b: str) -> int:

@@ -43,11 +43,14 @@ VOCAB = (
     "factor binding expression level tissue patient clinical trial dose response "
     "mutation sequence enzyme antibody membrane nucleus domain complex inhibitor assay"
 ).split()
+# rng.choice converts a list to an array on every call; sampling from this
+# array draws the same tokens from the same generator stream
+_VOCAB_ARRAY = np.array(VOCAB)
 
 
 def random_tokens(rng: np.random.Generator, lo: int = 1, hi: int = 12) -> tuple[str, ...]:
     n = int(rng.integers(lo, hi + 1))
-    return tuple(rng.choice(VOCAB, size=n))
+    return tuple(rng.choice(_VOCAB_ARRAY, size=n))
 
 
 def make_dataset(rng: np.random.Generator, n_pairs: int, name: str = "synthetic") -> Dataset:

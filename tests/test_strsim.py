@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VOCAB, levenshtein_dp, random_tokens
@@ -17,14 +17,25 @@ from stsbench.strsim import (
     liblock_sim,
     overlap_sim,
     qgram_sim,
+    token_pair_scores,
     token_profile,
-    with_empty_rule,
 )
 
 EXAMPLE_S1 = ("c0280089", "formation", "mice", "oncogenic", "c1537502",
           "requires", "formation", "craf", "c0812241")
 EXAMPLE_S2 = ("oncogenic", "activity", "mutant", "c1537502", "appears",
           "dependent", "functional", "craf", "c0812241")
+
+
+TOKEN_KERNELS = {"block": block_distance_sim, "liblock": liblock_sim, "jaccard": jaccard_sim,
+                 "overlap": overlap_sim, "qgram": qgram_sim}
+
+
+def by_empty_rule(kernel, s1, s2):
+    """``kernel`` on two non-empty sequences, else 0.0 (one side empty) or 1.0 (both)."""
+    if s1 and s2:
+        return kernel(s1, s2)
+    return 0.0 if s1 or s2 else 1.0
 
 
 def naive_block(s1, s2):
@@ -184,15 +195,35 @@ def test_empty_input_errors():
 
 
 def test_empty_rule_reproduces_non_raising_kernels():
-    kernels = (qgram_sim, jaccard_sim, block_distance_sim, liblock_sim, levenshtein_sim, overlap_sim)
-    for kernel in kernels:
-        scored = with_empty_rule(kernel)
-        assert scored((), ("a", "b")) == scored(("a",), ()) == 0.0
-        assert scored((), ()) == 1.0
-        assert scored(("a", "b"), ("b", "c")) == kernel(("a", "b"), ("b", "c"))
+    table = [(), ("a", "b"), ("a",), ("b", "c")]
+    scores = token_pair_scores(table, [(0, 1), (2, 0), (0, 0), (1, 3)])
+    for measure, kernel in TOKEN_KERNELS.items():
+        assert scores[measure][0] == scores[measure][1] == 0.0
+        assert scores[measure][2] == 1.0
+        assert scores[measure][3] == kernel(("a", "b"), ("b", "c"))
+    # levenshtein_sim, scored pair by pair, follows the rule itself
+    assert levenshtein_sim((), ("a", "b")) == levenshtein_sim(("a",), ()) == 0.0
     # where a kernel already defines a value on empty input, the rule agrees
     assert qgram_sim((), ("a",)) == jaccard_sim((), ("a",)) == levenshtein_sim((), ("a",)) == 0.0
     assert levenshtein_sim((), ()) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.lists(st.lists(st.sampled_from(("a", "b", "c", "gene", "cell")), max_size=7).map(tuple),
+                      min_size=1, max_size=12))
+@example(table=[(), ()])
+@example(table=[(), ("a",), ("a", "b"), ("c", "gene"), ("a", "a", "b", "a"), ("c", "c", "c")])
+def test_token_pair_scores_equal_the_kernels_bit_for_bit(table):
+    # every sequence with itself and with every other: empties, sequences of
+    # 1 and 2 tokens (one padded shingle), repeats and disjoint vocabularies
+    pairs = [(i, j) for i in range(len(table)) for j in range(len(table))]
+    scores = token_pair_scores(table, pairs)
+    assert scores.keys() == TOKEN_KERNELS.keys()
+    for measure, kernel in TOKEN_KERNELS.items():
+        assert scores[measure].dtype == np.float64 and scores[measure].shape == (len(pairs),)
+        for (i, j), got in zip(pairs, scores[measure]):
+            want = by_empty_rule(kernel, table[i], table[j])
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (measure, table[i], table[j])
 
 
 def test_randomized_properties(rng):

@@ -22,12 +22,16 @@ from .core import (
     write_raw_scores,
     write_table,
 )
-from .preprocess import PreprocessConfig, TokenSequence, token_tables
+from .preprocess import PreprocessConfig, TokenSequence, TokenTable, token_tables
 from .stats import DegenerateDataError, harmonic, pearson, spearman
 
 
 class PlanError(ValueError):
     """Invalid benchmark plan or unresolvable resource."""
+
+
+class ScoringError(RuntimeError):
+    """A measure failed on a pair; the message names the measure, pair and dataset."""
 
 
 # measure id -> (family, how it is computed). "string": the kernel's name in
@@ -178,10 +182,10 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
     Each distinct sentence is pre-processed once per config
     (:func:`token_tables`, in grid order) and every scorer reading that
     config scores from the same table: the five token measures from one
-    :func:`strsim.token_pair_scores` call per table, the others pair by pair.
-    A table is dropped as soon as no pending scorer needs it. A measure that
-    reads the ``ner=annotations`` view of a dataset without annotations warns
-    once.
+    :func:`strsim.token_pair_scores` call on its token ids, the others pair
+    by pair from the table decoded once. A table is dropped as soon as no
+    pending scorer needs it. A measure that reads the ``ner=annotations``
+    view of a dataset without annotations warns once.
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
@@ -191,18 +195,17 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
             warnings.warn(f"{mid} on {dataset.name!r}: no sentence has annotations, so the "
                           "ner=annotations view is the text without concept substitution")
     pending = dict(enumerate(scorers))
-    tables: dict[PreprocessConfig, list[TokenSequence]] = {}
+    tables: dict[PreprocessConfig, TokenTable] = {}
     for cfg, table in token_tables(list(ids), {v for s in scorers for v in s.views}):
         tables[cfg] = table
-        lengths = np.fromiter(map(len, table), np.int64, len(table))
-        empty = np.count_nonzero(lengths[pair_index].min(axis=1) == 0)
+        empty = np.count_nonzero(table.lengths[pair_index].min(axis=1) == 0)
         batch = None
         for k in [k for k, s in pending.items() if all(v in tables for v in s.views)]:
             scorer = pending.pop(k)
             if scorer.score_tokens is not None:
-                scores = _score_pairs(scorer, dataset.name, [tables[v] for v in scorer.views], pairs)
+                scores = _score_pairs(scorer, dataset.name, [tables[v].tokens for v in scorer.views], pairs)
             else:
-                batch = batch or strsim.token_pair_scores(table, pair_index)
+                batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
                 scores = batch[scorer.measure_id].tolist()
             # a string measure reads one view, so it is ready only with its own table
             if MEASURES[scorer.measure_id][0] == "string" and empty:
@@ -222,7 +225,7 @@ def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]]
         for a, b in pairs:
             scores.append(score(table[a], table[b]))
     except Exception as exc:
-        raise RuntimeError(
+        raise ScoringError(
             f"{scorer.measure_id} failed on pair {len(scores)} of {name!r}: {exc}") from exc
     return scores
 

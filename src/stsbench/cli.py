@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench, stats
-from .bench import BenchmarkPlan, MeasureSpec, PlanError
+from .bench import BenchmarkPlan, MeasureSpec, PlanError, ScoringError
 from .core import write_table
 from .preprocess import OPTIONS, PreprocessConfig, full_grid
 
@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PlanError, ValueError, OSError) as exc:
+    except (PlanError, ScoringError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,10 +2,12 @@
 
 File formats handled here:
 
-* Dataset TSV: ``sentence1<TAB>sentence2<TAB>score`` per line, UTF-8, LF.
-  A header line is auto-detected when the third field is not numeric.
+* Dataset TSV: ``sentence1<TAB>sentence2<TAB>score`` per line, UTF-8 (a
+  leading byte-order mark is skipped), LF. The first non-blank line is a
+  header when its third field is not numeric.
   Extra trailing columns are ignored with a warning.
-* Annotation sidecar TSV: ``row_index<TAB>s1|s2<TAB>start<TAB>end<TAB>code``.
+* Annotation sidecar TSV: ``row_index<TAB>s1|s2<TAB>start<TAB>end<TAB>code``,
+  UTF-8, a leading byte-order mark skipped.
 * Raw-score CSV: header ``pair_index,score``, one row per pair, CRLF line
   ends (the ``csv`` module's default), scores rendered with 17 significant
   digits so that a read/write round trip is bit-exact.
@@ -120,7 +122,8 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
     path = Path(path)
     rows: list[tuple[str, str, float]] = []
     warned_extra = False
-    with path.open(encoding="utf-8") as fh:
+    first = True
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
@@ -128,8 +131,10 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
             fields = line.split("\t")
             if len(fields) < 3:
                 raise DatasetError(f"{path}:{lineno}: expected >= 3 tab-separated fields, got {len(fields)}")
-            if lineno == 1 and not _is_number(fields[2]):
-                continue  # header line
+            if first:
+                first = False
+                if not _is_number(fields[2]):
+                    continue  # header line
             if len(fields) > 3 and not warned_extra:
                 warnings.warn(f"{path}: ignoring extra trailing columns (first seen at line {lineno})")
                 warned_extra = True
@@ -174,7 +179,7 @@ def load_annotations(path: str | Path) -> dict[SentenceId, list[Annotation]]:
     """
     path = Path(path)
     out: dict[SentenceId, list[Annotation]] = {}
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line or line.startswith("#"):

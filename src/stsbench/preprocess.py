@@ -19,6 +19,12 @@ The ``treebank-rules`` tokenizer is a self-contained rule engine:
   (``miR-146a`` -> ``miR``, ``146a``), the hyphen is dropped
 
 Exact parity with external tokenizers is not promised.
+
+:func:`preprocess` runs the pipeline on one sentence and returns strings.
+:func:`token_tables` runs it over many sentences and configs at once and
+returns token ids: each sentence is tokenized once per (ner, tokenizer),
+its tokens are numbered in one vocabulary per call, and every later stage
+is a map over ids, built by calling the stage once per distinct token.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
+
+import numpy as np
 
 from .core import RawSentence
 
@@ -186,8 +194,9 @@ def substitute_concepts(sentence: RawSentence) -> str:
 
 
 def _stages(cfg: PreprocessConfig) -> list:
-    """The pipeline as (memo name, item -> tokens) maps, applied to a
-    one-sentence sequence first; None for a stage the config skips."""
+    """The pipeline as (map name, item -> tokens) stages, applied to a
+    one-sentence sequence first; None for a stage the config skips. Configs
+    whose stage has the same map name share one id map in :func:`token_tables`."""
     filt = load_char_filter(cfg.char_filter) if cfg.char_filter != "none" else None
     stop = load_stopwords(cfg.stopwords) if cfg.stopwords != "none" else None
     return [
@@ -211,40 +220,120 @@ def preprocess(sentence: RawSentence, cfg: PreprocessConfig) -> TokenSequence:
     return tokens
 
 
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """The token sequences of a list of sentences under one config, as ids.
+
+    ``ids`` holds every sentence's token ids back to back, ``lengths`` the
+    number of tokens of each sentence and ``vocab`` the token of each id. All
+    tables of one :func:`token_tables` call share one vocabulary, which only
+    grows, so an id means the same token in each of them.
+    """
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    vocab: list[str]
+
+    @functools.cached_property
+    def tokens(self) -> list[TokenSequence]:
+        """The table decoded to one token sequence per sentence, built on first use."""
+        flat = list(map(self.vocab.__getitem__, self.ids.tolist()))
+        ends = np.cumsum(self.lengths).tolist()
+        return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+class _Vocabulary:
+    """Token strings numbered in order of first appearance."""
+
+    def __init__(self):
+        self.tokens: list[str] = []
+        self._index: dict[str, int] = {}
+
+    def ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """The id of each token, numbering the tokens not seen before."""
+        new = [t for t in dict.fromkeys(tokens) if t not in self._index]
+        self._index.update(zip(new, itertools.count(len(self.tokens))))
+        self.tokens.extend(new)
+        return np.fromiter(map(self._index.__getitem__, tokens), np.int64, len(tokens))
+
+
+class _IdMap:
+    """A pipeline stage's token -> tokens function as a map over ids, calling the
+    function once per distinct id: id i maps to ``targets[start[i]:start[i] + count[i]]``,
+    and ``count[i]`` is -1 until i has been seen."""
+
+    def __init__(self, fn, vocab: _Vocabulary):
+        self._fn, self._vocab = fn, vocab
+        self._count = np.empty(0, np.int64)
+        self._start = np.empty(0, np.int64)
+        self._targets = np.empty(0, np.int64)
+
+    def _learn(self, ids: np.ndarray) -> None:
+        """Run the stage on each token of ``ids`` not seen before."""
+        grow = len(self._vocab.tokens) - len(self._count)
+        self._count = np.concatenate([self._count, np.full(grow, -1, np.int64)])
+        self._start = np.concatenate([self._start, np.zeros(grow, np.int64)])
+        present = np.zeros(len(self._count), bool)
+        present[ids] = True
+        new = np.flatnonzero(present & (self._count < 0)).tolist()
+        outs = [self._fn(self._vocab.tokens[i]) for i in new]
+        sizes = np.fromiter(map(len, outs), np.int64, len(outs))
+        self._count[new] = sizes
+        self._start[new] = len(self._targets) + np.cumsum(sizes) - sizes
+        flat = self._vocab.ids(list(itertools.chain.from_iterable(outs)))
+        self._targets = np.concatenate([self._targets, flat])
+
+    def __call__(self, table: TokenTable) -> TokenTable:
+        self._learn(table.ids)
+        count = self._count[table.ids]
+        out_ends = np.cumsum(count)
+        bounds = np.concatenate([[0], out_ends])[np.concatenate([[0], np.cumsum(table.lengths)])]
+        # token k's outputs, targets[start[k]:start[k] + count[k]], go to the
+        # output from out_ends[k] - count[k] on: one gather copies them all. The
+        # table-long index arrays are built in place and freed as soon as they
+        # are used, which keeps the peak memory of pre-processing down.
+        at = self._start[table.ids]
+        at += count
+        at -= out_ends
+        del out_ends
+        at = np.repeat(at, count)
+        del count
+        at += np.arange(len(at))
+        return TokenTable(self._targets[at], np.diff(bounds), self._vocab.tokens)
+
+
 def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessConfig]
-                 ) -> Iterator[tuple[PreprocessConfig, list[TokenSequence]]]:
-    """Yield ``(cfg, [preprocess(s, cfg) for s in sentences])`` per distinct config.
+                 ) -> Iterator[tuple[PreprocessConfig, TokenTable]]:
+    """Yield ``(cfg, table)`` per distinct config, ``table.tokens`` being
+    ``[preprocess(s, cfg) for s in sentences]``.
 
     Configs come in grid order so that consecutive ones share stage
     prefixes: text is tokenized once per (ner, tokenizer), lower-cased once
     per lowercase choice below that and char-filtered once per filter below
-    that. Only the latest table of each stage is kept. Tokens map through a
-    per-stage memo, and every token string is interned through one dict, so
-    tables share their strings.
+    that. Only the latest table of each stage is kept. Tokenizing numbers
+    each token in a vocabulary shared by every table of the call; each later
+    stage is an :class:`_IdMap` per option value, also shared, so its
+    function runs once per distinct token.
     """
-    intern: dict[str, str] = {}
-    memos: dict[tuple, dict[str, TokenSequence]] = {}
+    vocab = _Vocabulary()
+    maps: dict[tuple, _IdMap] = {}
 
-    def mapped(table: list[tuple], stage) -> list[TokenSequence]:
+    def mapped(table: TokenTable | None, stage) -> TokenTable:
         if stage is None:
             return table
-        memo = memos.setdefault(stage[0], {}) if stage[0] else {}
-        out = []
-        for items in table:
-            new: list[str] = []
-            for item in items:
-                hit = memo.get(item)
-                if hit is None:
-                    hit = memo[item] = tuple([intern.setdefault(t, t) for t in stage[1](item)])
-                new.extend(hit)
-            out.append(tuple(new))
-        return out
+        if table is None:  # tokenizing, the first stage, reads the sentences
+            split = [vocab.ids(stage[1](s)) for s in sentences]
+            lengths = np.fromiter(map(len, split), np.int64, len(split))
+            return TokenTable(np.concatenate([np.empty(0, np.int64), *split]), lengths, vocab.tokens)
+        if stage[0] not in maps:
+            maps[stage[0]] = _IdMap(stage[1], vocab)
+        return maps[stage[0]](table)
 
     kept: list = [None] * 3  # (config prefix, table) after tokenizing, lower-casing, char filtering
     for cfg in sorted(set(configs), key=full_grid(with_ner=True).index):
         key = (cfg.ner, cfg.tokenizer, cfg.lowercase, cfg.char_filter)
         stages = _stages(cfg)
-        table = [(s,) for s in sentences]
+        table = None
         for depth in range(3):
             if kept[depth] is None or kept[depth][0] != key[:depth + 2]:
                 kept[depth:] = [None] * (3 - depth)  # stale from here down

@@ -5,7 +5,9 @@ All measures are symmetric and return values in [0, 1]. A kernel raises
 
 :func:`token_pair_scores` scores the five token measures (block, liblock,
 jaccard, overlap and token q-gram) for every pair of a token table at once,
-from sparse count matrices, bit for bit as the per-pair kernels score them.
+bit for bit as the per-pair kernels score them. It reads the table as token
+ids (as :func:`stsbench.preprocess.token_tables` builds it) and takes each
+pair's counts as row sums over sparse token and trigram count matrices.
 It applies the empty-input rule as a mask: an empty sequence scores 0.0
 against a non-empty one and 1.0 against an empty one, as ``levenshtein_sim``
 and the kernels that do not raise already score.
@@ -13,7 +15,6 @@ and the kernels that do not raise already score.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -122,14 +123,6 @@ def _count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) ->
     return csr_array((counts, keys % shape[1], indptr), shape=shape)
 
 
-def _token_ids(table: Sequence[Sequence[str]]) -> tuple[np.ndarray, int]:
-    """The tokens of ``table``, concatenated, as ids numbered in order of first
-    appearance, and the number of distinct tokens."""
-    flat = list(itertools.chain.from_iterable(table))
-    vocab = dict(zip(dict.fromkeys(flat), itertools.count()))
-    return np.fromiter(map(vocab.__getitem__, flat), np.int64, len(flat)), len(vocab)
-
-
 def _trigram_counts(ids: np.ndarray, rows: np.ndarray, lengths: np.ndarray, pad: int) -> csr_array:
     """Count matrix of each sequence's token trigrams; ``ids[k]`` is a token of
     sequence ``rows[k]``, sequences being consecutive and ``lengths`` long.
@@ -151,23 +144,25 @@ def _trigram_counts(ids: np.ndarray, rows: np.ndarray, lengths: np.ndarray, pad:
     return _count_matrix(rows[opens], trigram, (len(lengths), int(trigram.max(initial=-1)) + 1))
 
 
-def token_pair_scores(table: Sequence[Sequence[str]], pairs) -> dict[str, np.ndarray]:
-    """Block, liblock, jaccard, overlap and (3-token) qgram scores of every
-    ``(table[i], table[j])`` for ``(i, j)`` in ``pairs``, an (n, 2) array-like,
-    as float64 arrays under the empty-input rule.
+def token_pair_scores(ids: np.ndarray, lengths: np.ndarray, vocab_size: int, pairs) -> dict[str, np.ndarray]:
+    """Block, liblock, jaccard, overlap and (3-token) qgram scores of every pair
+    ``(i, j)`` of sequences in ``pairs``, an (n, 2) array-like, as float64
+    arrays under the empty-input rule.
 
-    Each score equals the per-pair kernel's bit for bit: the float arithmetic
-    is the kernel's, and only the integer counts it takes from ``Counter``s,
-    sets and shingles come from sparse row sums instead, over ``counts`` (of
-    each token per sequence), its 0/1 twin ``words`` and ``shingles`` (of
-    each token trigram per sequence).
+    The sequences are a token id table: sequence i is the next ``lengths[i]``
+    ids of ``ids``, each id in ``range(vocab_size)``. Two sequences hold the
+    same token exactly where they hold the same id; the numbering is free.
+
+    Each score equals the per-pair kernel's bit for bit on the decoded
+    tokens: the float arithmetic is the kernel's, and only the integer counts
+    it takes from ``Counter``s, sets and shingles come from sparse row sums
+    instead, over ``counts`` (of each token per sequence), its 0/1 twin
+    ``words`` and ``shingles`` (of each token trigram per sequence).
     """
-    lengths = np.fromiter(map(len, table), np.int64, len(table))
-    ids, n_ids = _token_ids(table)
-    rows = np.repeat(np.arange(len(table)), lengths)
-    counts = _count_matrix(rows, ids, (len(table), n_ids))
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    counts = _count_matrix(rows, ids, (len(lengths), vocab_size))
     words = csr_array((np.ones_like(counts.data), counts.indices, counts.indptr), shape=counts.shape)
-    shingles = _trigram_counts(ids, rows, lengths, pad=n_ids)
+    shingles = _trigram_counts(ids, rows, lengths, pad=vocab_size)
     distinct, n_shingles = np.diff(words.indptr), shingles.sum(axis=1)
 
     left, right = np.asarray(pairs, np.intp).reshape(-1, 2).T

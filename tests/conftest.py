@@ -53,6 +53,15 @@ def random_tokens(rng: np.random.Generator, lo: int = 1, hi: int = 12) -> tuple[
     return tuple(rng.choice(_VOCAB_ARRAY, size=n))
 
 
+def id_table(table, vocab) -> tuple[np.ndarray, np.ndarray, int]:
+    """A string token table as ``(ids, lengths, vocabulary size)``, the id of a
+    token being its index in ``vocab``, a list of distinct tokens holding every
+    token of the table."""
+    index = {t: i for i, t in enumerate(vocab)}
+    ids = np.array([index[t] for seq in table for t in seq], np.int64)
+    return ids, np.array([len(seq) for seq in table], np.int64), len(vocab)
+
+
 def make_dataset(rng: np.random.Generator, n_pairs: int, name: str = "synthetic") -> Dataset:
     pairs = []
     for _ in range(n_pairs):

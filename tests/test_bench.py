@@ -337,6 +337,18 @@ def test_cli_error_paths(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_reports_a_failing_pair(tmp_path, capsys):
+    # the first sentence is all stop words, on which wbsm is undefined
+    path = tmp_path / "t.tsv"
+    path.write_text("the of and\tgene cell\t0.5\ngene kinase\tcell\t0.1\n", encoding="utf-8")
+    tax_path, lex_path = _onto_files(tmp_path)
+    rc = cli.main(["run", "--dataset", f"t={path}", "--measure", "wbsm-rada", "--stopwords", "nltk2018",
+                   "--taxonomy", str(tax_path), "--lexicon", str(lex_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: wbsm-rada failed on pair 0 of 't': word sets must be non-empty\n"
+
+
 def test_significance_keeps_every_config(tmp_path, rng):
     ds = make_dataset(rng, 40)
     path = tmp_path / "d.tsv"

@@ -76,6 +76,25 @@ def test_load_dataset_header_autodetect(tmp_path):
     assert ds.pairs[0].human_score == 0.3
 
 
+def test_load_dataset_header_on_first_non_blank_line(tmp_path):
+    p = _write(tmp_path, "\n\r\nsentence1\tsentence2\tscore\na\tb\t0.3\n")
+    ds = load_dataset(p)
+    assert [(q.s1.text, q.s2.text, q.human_score) for q in ds.pairs] == [("a", "b", 0.3)]
+    # only the first non-blank line can be a header
+    p = _write(tmp_path, "\na\tb\t0.3\nsentence1\tsentence2\tscore\n")
+    with pytest.raises(DatasetError, match=":3: score 'score' is not a number"):
+        load_dataset(p)
+
+
+def test_byte_order_mark_is_not_text(tmp_path):
+    p = _write(tmp_path, "\ufeffAlpha beta\tgamma\t0.5\n")
+    assert load_dataset(p).pairs[0].s1.text == "Alpha beta"
+    p = _write(tmp_path, "\ufeffsentence1\tsentence2\tscore\na\tb\t0.3\n")
+    assert len(load_dataset(p)) == 1
+    p = _write(tmp_path, "\ufeff0\ts1\t0\t5\tC1\n", name="ann.tsv")
+    assert load_annotations(p) == {(0, "s1"): [Annotation(0, 5, "C1")]}
+
+
 def test_load_dataset_extra_columns_warn(tmp_path):
     p = _write(tmp_path, "a\tb\t0.5\tignored\n")
     with pytest.warns(UserWarning, match="extra trailing columns"):

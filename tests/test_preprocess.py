@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
@@ -172,15 +172,41 @@ def _sentences(draw):
 @given(extra=st.lists(_sentences(), max_size=6),
        picks=st.lists(st.integers(0, 95), min_size=1, max_size=12),
        seed=st.integers(0, 2**16))
+@example(extra=[RawSentence(""), RawSentence("The of AND")], picks=[2, 5, 50, 95], seed=0)
 def test_token_tables_equal_preprocess(extra, picks, seed):
     grid = full_grid(with_ner=True)
     configs = [grid[i] for i in picks]
     ds = make_dataset(np.random.default_rng(seed), 5)
-    example = RawSentence(EXAMPLE_TEXT, EXAMPLE_ANNOTATIONS)
-    sentences = [s for pair in ds.pairs for s in (pair.s1, pair.s2)] + extra + [example]
-    seen = []
+    worked = RawSentence(EXAMPLE_TEXT, EXAMPLE_ANNOTATIONS)
+    sentences = [s for pair in ds.pairs for s in (pair.s1, pair.s2)] + extra + [worked]
+    seen, vocabs = [], set()
     for cfg, table in token_tables(sentences, configs):
         seen.append(cfg)
-        assert table == [preprocess(s, cfg) for s in sentences]
+        vocabs.add(id(table.vocab))
+        assert table.ids.dtype == table.lengths.dtype == np.int64
+        assert table.lengths.sum() == len(table.ids) and len(table.lengths) == len(sentences)
+        assert 0 <= table.ids.min(initial=0) and table.ids.max(initial=-1) < len(table.vocab)
+        # one id per token: the vocabulary has no repeats
+        assert len(set(table.vocab)) == len(table.vocab)
+        assert table.tokens == [preprocess(s, cfg) for s in sentences]
+    assert len(vocabs) == 1
     assert sorted(seen, key=grid.index) == seen
     assert set(seen) == set(configs) and len(seen) == len(set(configs))
+
+
+def test_token_tables_call_each_stage_once_per_distinct_input(monkeypatch):
+    # the stages are looked up as module attributes, so a wrapper set there
+    # (a profiler's, say) sees every call
+    from stsbench import preprocess as module
+    tokenized, filtered = [], []
+    tokenize, apply = module.tokenize, module.CharFilter.apply
+    monkeypatch.setattr(module, "tokenize", lambda text, mode: tokenized.append((text, mode)) or tokenize(text, mode))
+    monkeypatch.setattr(module.CharFilter, "apply",
+                        lambda self, token: filtered.append((self.name, token)) or apply(self, token))
+    ds = make_dataset(np.random.default_rng(3), 20)
+    sentences = list(dict.fromkeys(s for pair in ds.pairs for s in (pair.s1, pair.s2)))
+    sentences += [RawSentence("Tumour-7 IL-6, the IL-6!"), RawSentence("")]
+    for _ in token_tables(sentences, full_grid(with_ner=True)):
+        pass
+    assert len(tokenized) == 4 * len(sentences)
+    assert len(filtered) == len(set(filtered)) > 0

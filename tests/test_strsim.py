@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import VOCAB, levenshtein_dp, random_tokens
+from conftest import VOCAB, id_table, levenshtein_dp, random_tokens
 from stsbench.strsim import (
     EmptyInputError,
     block_distance_sim,
@@ -196,7 +196,7 @@ def test_empty_input_errors():
 
 def test_empty_rule_reproduces_non_raising_kernels():
     table = [(), ("a", "b"), ("a",), ("b", "c")]
-    scores = token_pair_scores(table, [(0, 1), (2, 0), (0, 0), (1, 3)])
+    scores = token_pair_scores(*id_table(table, ["c", "b", "a"]), [(0, 1), (2, 0), (0, 0), (1, 3)])
     for measure, kernel in TOKEN_KERNELS.items():
         assert scores[measure][0] == scores[measure][1] == 0.0
         assert scores[measure][2] == 1.0
@@ -208,16 +208,21 @@ def test_empty_rule_reproduces_non_raising_kernels():
     assert levenshtein_sim((), ()) == 1.0
 
 
+_TOKENS = ("a", "b", "c", "gene", "cell")
+
+
 @settings(max_examples=300, deadline=None)
-@given(table=st.lists(st.lists(st.sampled_from(("a", "b", "c", "gene", "cell")), max_size=7).map(tuple),
-                      min_size=1, max_size=12))
-@example(table=[(), ()])
-@example(table=[(), ("a",), ("a", "b"), ("c", "gene"), ("a", "a", "b", "a"), ("c", "c", "c")])
-def test_token_pair_scores_equal_the_kernels_bit_for_bit(table):
+@given(table=st.lists(st.lists(st.sampled_from(_TOKENS), max_size=7).map(tuple), min_size=1, max_size=12),
+       vocab=st.permutations((*_TOKENS, "unused", "spare")))
+@example(table=[(), ()], vocab=["unused"])
+@example(table=[(), ("a",), ("a", "b"), ("c", "gene"), ("a", "a", "b", "a"), ("c", "c", "c")],
+         vocab=["spare", "gene", "c", "unused", "b", "a"])
+def test_token_pair_scores_equal_the_kernels_bit_for_bit(table, vocab):
     # every sequence with itself and with every other: empties, sequences of
-    # 1 and 2 tokens (one padded shingle), repeats and disjoint vocabularies
+    # 1 and 2 tokens (one padded shingle), repeats and disjoint vocabularies;
+    # ids in any order, over a vocabulary with ids the table does not use
     pairs = [(i, j) for i in range(len(table)) for j in range(len(table))]
-    scores = token_pair_scores(table, pairs)
+    scores = token_pair_scores(*id_table(table, vocab), pairs)
     assert scores.keys() == TOKEN_KERNELS.keys()
     for measure, kernel in TOKEN_KERNELS.items():
         assert scores[measure].dtype == np.float64 and scores[measure].shape == (len(pairs),)

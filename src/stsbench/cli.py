@@ -71,7 +71,7 @@ def parse_plan_file(path: str | Path) -> dict:
     ``annotations.NAME`` populate per-dataset maps.
     """
     raw = {"datasets": {}, "annotations": {}, "measures": [], "options": {}}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -21,7 +21,14 @@ class TaxonomyError(ValueError):
 
 
 class Taxonomy:
-    """Rooted DAG with cached depth, leaf and subsumer information."""
+    """Rooted DAG with depth, leaf and subsumer information.
+
+    Depths and leaf masks are built at load, in one topological pass and
+    its reverse: Jiang & Conrath reads the leaf counts of many common
+    ancestors, so those stay eager. Ancestor sets are built on first use
+    and kept only for the concepts asked about, so a large taxonomy stays
+    small when a lexicon reaches few of its concepts.
+    """
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         parents: dict[str, set[str]] = {}
@@ -40,83 +47,45 @@ class Taxonomy:
         self._parents = {n: frozenset(parents.get(n, ())) for n in nodes}
         self._children = {n: frozenset(children.get(n, ())) for n in nodes}
         self.nodes = frozenset(nodes)
-        self._topo = self._topo_sort()
-        self._depth = self._compute_depths()
-        if len(self._depth) != len(nodes):
-            unreachable = nodes - self._depth.keys()
-            raise TaxonomyError(f"{len(unreachable)} nodes unreachable from root")
-        self.max_depth = max(self._depth.values())
-        self._ancestors = self._compute_ancestors()
-        self._leaf_masks = self._compute_leaf_masks()
-        self.total_leaves = sum(1 for n in nodes if not self._children[n])
-        self._ic_max: float | None = None
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Taxonomy":
-        edges = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise TaxonomyError(f"{path}:{lineno}: expected child<TAB>parent")
-            edges.append((fields[0], fields[1]))
-        return cls(edges)
-
-    def _topo_sort(self) -> list[str]:
-        # Kahn's algorithm over parent -> child edges; leftovers mean a cycle
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        queue = deque([self.root])
-        order = []
-        while queue:
-            n = queue.popleft()
-            order.append(n)
+        # Kahn's algorithm from the root: a node joins the order once all its
+        # parents have, at 1 + the depth of its shallowest parent (its BFS
+        # depth). With one root, a node the pass never reaches is on a cycle.
+        indeg = {n: len(self._parents[n]) for n in nodes}
+        self._depth = {self.root: 0}
+        order = [self.root]
+        for n in order:
             for c in self._children[n]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != len(self.nodes):
+                    self._depth[c] = 1 + min(self._depth[p] for p in self._parents[c])
+                    order.append(c)
+        if len(order) != len(nodes):
             raise TaxonomyError("cycle detected")
-        return order
-
-    def _compute_depths(self) -> dict[str, int]:
-        depth = {self.root: 0}
-        queue = deque([self.root])
-        while queue:
-            n = queue.popleft()
+        self.max_depth = max(self._depth.values())
+        self._leaves = [n for n in nodes if not self._children[n]]
+        self._leaf_masks = {n: 1 << bit for bit, n in enumerate(self._leaves)}
+        for n in reversed(order):  # children precede parents
+            mask = self._leaf_masks.get(n, 0)
             for c in self._children[n]:
-                if c not in depth:
-                    depth[c] = depth[n] + 1
-                    queue.append(c)
-        return depth
-
-    def _compute_ancestors(self) -> dict[str, frozenset[str]]:
-        anc: dict[str, frozenset[str]] = {}
-        for n in self._topo:  # parents precede children
-            s = {n}
-            for p in self._parents[n]:
-                s |= anc[p]
-            anc[n] = frozenset(s)
-        return anc
-
-    def _compute_leaf_masks(self) -> dict[str, int]:
-        leaf_bit = {}
-        bit = 0
-        for n in self.nodes:
-            if not self._children[n]:
-                leaf_bit[n] = 1 << bit
-                bit += 1
-        masks: dict[str, int] = {}
-        for n in reversed(self._topo):  # children precede parents
-            mask = leaf_bit.get(n, 0)
-            for c in self._children[n]:
-                mask |= masks[c]
-            masks[n] = mask
-        return masks
+                mask |= self._leaf_masks[c]
+            self._leaf_masks[n] = mask
+        self.total_leaves = len(self._leaves)
+        self._ancestors: dict[str, frozenset[str]] = {}
+        self._ic_max: float | None = None
 
     def _require(self, concept: str) -> None:
         if concept not in self.nodes:
             raise TaxonomyError(f"unknown concept {concept!r}")
+
+    def _walk_up(self, concept: str) -> set[str]:
+        seen = {concept}
+        stack = [concept]
+        while stack:
+            for p in self._parents[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return seen
 
     def depth(self, concept: str) -> int:
         self._require(concept)
@@ -124,8 +93,7 @@ class Taxonomy:
 
     def subsumer_count(self, concept: str) -> int:
         """Number of ancestors of the concept, including itself."""
-        self._require(concept)
-        return len(self._ancestors[concept])
+        return len(self.ancestors(concept))
 
     def leaf_count(self, concept: str) -> int:
         """Number of leaves subsumed by the concept (itself, if a leaf)."""
@@ -133,8 +101,12 @@ class Taxonomy:
         return self._leaf_masks[concept].bit_count()
 
     def ancestors(self, concept: str) -> frozenset[str]:
+        """The concept and all its ancestors, walked up on first use."""
         self._require(concept)
-        return self._ancestors[concept]
+        anc = self._ancestors.get(concept)
+        if anc is None:
+            anc = self._ancestors[concept] = frozenset(self._walk_up(concept))
+        return anc
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
         """Shortest path length treating is-a edges as undirected."""
@@ -162,19 +134,36 @@ class Taxonomy:
         return -math.log((leaves / subsumers + 1.0) / (self.total_leaves + 1.0))
 
     def ic_max(self) -> float:
+        """Largest Sánchez IC, taken over the leaves only.
+
+        Any leaf below a concept has leaf count 1, against the concept's 1 or
+        more, and more subsumers, so its IC is larger; among leaves the IC
+        grows with the subsumer count. Each leaf's ancestor set is walked
+        and dropped rather than memoised.
+        """
         if self._ic_max is None:
-            self._ic_max = max(self.ic_sanchez(n) for n in self.nodes)
+            subsumers = max(len(self._walk_up(n)) for n in self._leaves)
+            self._ic_max = -math.log((1 / subsumers + 1.0) / (self.total_leaves + 1.0))
         return self._ic_max
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    return Taxonomy.from_file(path)
+    """Load a taxonomy file: ``child<TAB>parent`` edges, ``#`` comments."""
+    edges = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise TaxonomyError(f"{path}:{lineno}: expected child<TAB>parent")
+        edges.append((fields[0], fields[1]))
+    return Taxonomy(edges)
 
 
 def load_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
     """Load a surface-form lexicon: ``surface<TAB>concept[,concept...]``."""
     lexicon: dict[str, frozenset[str]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -227,8 +216,6 @@ class WordSimMeasure:
     def _rada(self, c1: str, c2: str) -> float:
         t = self.taxonomy
         length = t.shortest_path_len(c1, c2)
-        if t.max_depth == 0:
-            return 1.0 if length == 0 else 0.0
         return min(1.0, max(0.0, 1.0 - length / (2.0 * t.max_depth)))
 
     def _jiang_conrath(self, c1: str, c2: str) -> float:
@@ -236,10 +223,7 @@ class WordSimMeasure:
         common = t.ancestors(c1) & t.ancestors(c2)
         ic_mica = max(t.ic_sanchez(a) for a in common)
         d = t.ic_sanchez(c1) + t.ic_sanchez(c2) - 2.0 * ic_mica
-        ic_max = t.ic_max()
-        if ic_max == 0.0:
-            return 1.0 if d == 0.0 else 0.0
-        return 1.0 - min(1.0, d / (2.0 * ic_max))
+        return 1.0 - min(1.0, d / (2.0 * t.ic_max()))
 
 
 def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],

@@ -70,7 +70,7 @@ def _resource_path(kind: str, name: str) -> Path:
 def load_stopwords(name: str) -> frozenset[str]:
     """Load a named stop-word list; one lower-case token per line."""
     words = set()
-    for line in _resource_path("stopwords", name).read_text(encoding="utf-8").splitlines():
+    for line in _resource_path("stopwords", name).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.lower())
@@ -114,7 +114,7 @@ def load_char_filter(name: str) -> CharFilter:
     delete: list[str] = []
     replace: dict[str, str] = {}
     non_alnum = False
-    for line in _resource_path("charfilters", name).read_text(encoding="utf-8").splitlines():
+    for line in _resource_path("charfilters", name).read_text(encoding="utf-8-sig").splitlines():
         if not line or line.startswith("#"):
             continue
         if line == _NON_ALNUM_MARKER:

@@ -42,7 +42,7 @@ def load_vectors(path: str | Path, expected_dim: int | None = None) -> VectorMod
     table: dict[str, np.ndarray] = {}
     dim: int | None = expected_dim
     declared_count: int | None = None
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
             if not parts:

@@ -168,6 +168,12 @@ def test_criterion_5_taxonomy_oracle(rng):
             assert tax.shortest_path_len(a, b) == int(dist[index[a], index[b]])
         for child, parent in edges:
             assert tax.ic_sanchez(child) >= tax.ic_sanchez(parent) - 1e-12
+        # ic_max is taken over the leaves only, depth from the topological pass
+        assert tax.ic_max() == max(tax.ic_sanchez(m) for m in nodes)
+        down = csr_matrix((np.ones(len(edges)), ([index[p] for _, p in edges],
+                                                 [index[c] for c, _ in edges])), shape=(n, n))
+        depth = csgraph_shortest_path(down, directed=True, unweighted=True, indices=index[tax.root])
+        assert [tax.depth(m) for m in nodes] == [int(d) for d in depth]
     # 0/1 word similarity must reproduce the binary cosine bit for bit
     for _ in range(2000):
         s1 = set(random_tokens(rng, 1, 10))

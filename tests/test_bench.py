@@ -276,6 +276,15 @@ def test_plan_file_parsing(tmp_path):
     assert inline.lowercase is False  # inherits the plan-level option
 
 
+def test_plan_file_with_bom(tmp_path, rng, capsys):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(rng, 5), path)
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(f"dataset.d = {path}\nmeasure = block\n", encoding="utf-8-sig")
+    assert cli.main(["validate", "--plan", str(plan_file)]) == 0
+    assert "plan OK" in capsys.readouterr().out
+
+
 def test_plan_file_bad_lines(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("just some words\n", encoding="utf-8")

@@ -63,7 +63,7 @@ def test_ic_sanchez(tax):
     # leaves/subsumers shrinks down the taxonomy, so IC grows
     expected = -math.log((2 / 2 + 1) / 4)
     assert tax.ic_sanchez("a") == pytest.approx(expected, abs=1e-12)
-    assert tax.ic_max() == pytest.approx(max(tax.ic_sanchez(n) for n in tax.nodes))
+    assert tax.ic_max() == max(tax.ic_sanchez(n) for n in tax.nodes)
 
 
 def test_ic_monotone_on_edges(tax):
@@ -88,6 +88,22 @@ def test_taxonomy_cycle_below_root():
         Taxonomy([("a", "root"), ("b", "a"), ("c", "b"), ("b", "c")])
 
 
+def test_taxonomy_cycle_unreachable_from_root():
+    # a and b each have a parent, so root is the only root; the topological
+    # pass never reaches the cycle
+    with pytest.raises(TaxonomyError, match="cycle"):
+        Taxonomy([("x", "root"), ("a", "b"), ("b", "a")])
+
+
+def test_one_edge_taxonomy():
+    tax = Taxonomy([("a", "root")])
+    assert tax.max_depth == 1
+    assert tax.ic_max() > 0
+    lexicon = {"child": frozenset({"a"}), "top": frozenset({"root"})}
+    assert WordSimMeasure("rada", tax, lexicon).word_sim("child", "top") == 0.5
+    assert WordSimMeasure("jiang-conrath", tax, lexicon).word_sim("child", "child") == 1.0
+
+
 def test_taxonomy_file_round_trip(tmp_path):
     p = tmp_path / "tax.tsv"
     p.write_text("# taxonomy\n" + "\n".join(f"{c}\t{q}" for c, q in TREE) + "\n", encoding="utf-8")
@@ -99,6 +115,12 @@ def test_taxonomy_file_round_trip(tmp_path):
         load_taxonomy(bad)
 
 
+def test_taxonomy_file_with_bom(tmp_path):
+    p = tmp_path / "tax.tsv"
+    p.write_text("b\troot\na\tb\n", encoding="utf-8-sig")
+    assert load_taxonomy(p).nodes == {"root", "a", "b"}
+
+
 def test_lexicon_load(tmp_path):
     p = tmp_path / "lex.tsv"
     p.write_text("# lexicon\ncat\tc\ndog\td,e\n", encoding="utf-8")
@@ -108,6 +130,12 @@ def test_lexicon_load(tmp_path):
     bad.write_text("cat\n", encoding="utf-8")
     with pytest.raises(TaxonomyError):
         load_lexicon(bad)
+
+
+def test_lexicon_file_with_bom(tmp_path):
+    p = tmp_path / "lex.tsv"
+    p.write_text("cat\tc\n", encoding="utf-8-sig")
+    assert load_lexicon(p) == {"cat": frozenset({"c"})}
 
 
 def test_word_measure_validation(tax):
@@ -214,3 +242,4 @@ def test_random_dag_ic_monotone(rng):
         tax = Taxonomy(edges)
         for child, parent in edges:
             assert tax.ic_sanchez(child) >= tax.ic_sanchez(parent) - 1e-12
+

@@ -36,6 +36,14 @@ def test_load_with_header(tmp_path):
     assert "cat" in m and "mouse" not in m
 
 
+def test_load_with_bom_and_header(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("2 3\ncat 1 0 0\ndog 0 1 0\n", encoding="utf-8-sig")
+    m = load_vectors(p)
+    assert m.dim == 3
+    assert set(m.table) == {"cat", "dog"}
+
+
 def test_load_without_header(tmp_path):
     m = load_vectors(_write(tmp_path, "cat 1 0\ndog 0 1\n"))
     assert m.dim == 2

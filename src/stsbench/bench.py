@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 import warnings
 from collections.abc import Iterator
@@ -19,6 +20,7 @@ from .core import (
     attach_annotations,
     load_annotations,
     load_dataset,
+    raw_scores_text,
     write_raw_scores,
     write_table,
 )
@@ -183,9 +185,16 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
     (:func:`token_tables`, in grid order) and every scorer reading that
     config scores from the same table: the five token measures from one
     :func:`strsim.token_pair_scores` call on its token ids, the others pair
-    by pair from the table decoded once. A table is dropped as soon as no
-    pending scorer needs it. A measure that reads the ``ner=annotations``
-    view of a dataset without annotations warns once.
+    by pair from the table decoded once. Configs often give equal tables
+    (22 distinct of the 48 grid configs on the benchmark's string corpus:
+    ``cf=default`` and ``cf=biosses`` agree on a sentence without the extra
+    BIOSSES symbols), so a measure scores each distinct set of view tables
+    once and every config with those tables gets the very same scores
+    tuple. Tables are compared by a sha256 over their ids, which are
+    numbered per call, so that memo lives for one call. A table is dropped
+    as soon as no pending scorer needs it. A measure that reads the
+    ``ner=annotations`` view of a dataset without annotations warns once;
+    the empty-input warning comes once per config.
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
@@ -196,28 +205,35 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
                           "ner=annotations view is the text without concept substitution")
     pending = dict(enumerate(scorers))
     tables: dict[PreprocessConfig, TokenTable] = {}
+    keys: dict[PreprocessConfig, bytes] = {}
+    memo: dict[tuple, tuple[float, ...]] = {}  # (measure id, *view keys) -> scores
     for cfg, table in token_tables(list(ids), {v for s in scorers for v in s.views}):
         tables[cfg] = table
+        keys[cfg] = hashlib.sha256(np.concatenate([table.lengths, table.ids])).digest()
         empty = np.count_nonzero(table.lengths[pair_index].min(axis=1) == 0)
         batch = None
         for k in [k for k, s in pending.items() if all(v in tables for v in s.views)]:
             scorer = pending.pop(k)
-            if scorer.score_tokens is not None:
-                scores = _score_pairs(scorer, dataset.name, [tables[v].tokens for v in scorer.views], pairs)
-            else:
-                batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
-                scores = batch[scorer.measure_id].tolist()
+            key = (scorer.measure_id, *(keys[v] for v in scorer.views))
+            scores = memo.get(key)
+            if scores is None:
+                if scorer.score_tokens is not None:
+                    scores = _score_pairs(scorer, dataset.name, [tables[v].tokens for v in scorer.views], pairs)
+                else:
+                    batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
+                    scores = tuple(batch[scorer.measure_id].tolist())
+                memo[key] = scores
             # a string measure reads one view, so it is ready only with its own table
             if MEASURES[scorer.measure_id][0] == "string" and empty:
                 warnings.warn(f"{scorer.measure_id} on {dataset.name!r} ({scorer.config.label()}): {empty} "
                               "pair(s) with an empty token sequence scored by the empty-input rule")
-            yield k, BenchmarkRun(dataset.name, scorer.measure_id, scorer.config.label(), tuple(scores))
+            yield k, BenchmarkRun(dataset.name, scorer.measure_id, scorer.config.label(), scores)
         needed = {v for s in pending.values() for v in s.views}
         tables = {v: t for v, t in tables.items() if v in needed}
 
 
 def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]],
-                 pairs: list[tuple[int, int]]) -> list[float]:
+                 pairs: list[tuple[int, int]]) -> tuple[float, ...]:
     table = views[0] if len(views) == 1 else list(zip(*views))
     score = scorer.score_tokens
     scores: list[float] = []
@@ -227,7 +243,7 @@ def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]]
     except Exception as exc:
         raise ScoringError(
             f"{scorer.measure_id} failed on pair {len(scores)} of {name!r}: {exc}") from exc
-    return scores
+    return tuple(scores)
 
 
 def score_dataset(scorer: PairScorer, dataset: Dataset) -> BenchmarkRun:
@@ -297,19 +313,32 @@ def _run_file_name(run: BenchmarkRun) -> str:
     return f"{run.dataset_name}__{run.measure_id.replace(':', '-')}__{safe_cfg}.csv"
 
 
+def _correlations(scores: tuple[float, ...], human: list[float],
+                  part: slice = slice(None)) -> tuple[float, float, float] | DegenerateDataError:
+    """Pearson, Spearman and harmonic score of the pairs in ``part``, or the
+    error that leaves one of them undefined."""
+    try:
+        r = pearson(scores[part], human[part])
+        rho = spearman(scores[part], human[part])
+        return r, rho, harmonic(r, rho)
+    except DegenerateDataError as exc:
+        return exc
+
+
+def _report_row(result: BenchmarkRun, stats: tuple[float, float, float] | DegenerateDataError,
+                part: slice = slice(None)) -> ReportRow:
+    if isinstance(stats, DegenerateDataError):
+        where = "" if part == slice(None) else f" pairs[{part.start}:{part.stop}]"
+        warnings.warn(f"{result.measure_id} on {result.dataset_name!r}{where} "
+                      f"({result.preprocess_config}): {stats}; reporting nan")
+        stats = (float("nan"),) * 3
+    return ReportRow(result.dataset_name, result.measure_id, result.preprocess_config, *stats)
+
+
 def report_row(result: BenchmarkRun, human: list[float], part: slice = slice(None)) -> ReportRow:
     """Pearson, Spearman and harmonic score of the run's pairs in ``part`` (all by
     default); a degenerate statistic gives a nan row and a warning naming the part."""
-    try:
-        r = pearson(result.scores[part], human[part])
-        rho = spearman(result.scores[part], human[part])
-        h = harmonic(r, rho)
-    except DegenerateDataError as exc:
-        where = "" if part == slice(None) else f" pairs[{part.start}:{part.stop}]"
-        warnings.warn(f"{result.measure_id} on {result.dataset_name!r}{where} "
-                      f"({result.preprocess_config}): {exc}; reporting nan")
-        r = rho = h = float("nan")
-    return ReportRow(result.dataset_name, result.measure_id, result.preprocess_config, r, rho, h)
+    return _report_row(result, _correlations(result.scores, human, part), part)
 
 
 def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
@@ -324,9 +353,16 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     done: dict[tuple[int, str], tuple[BenchmarkRun, ReportRow]] = {}
     for name, dataset in datasets.items():
         human = dataset.human_scores()
+        # configs with equal token tables share one scores tuple (see score_runs):
+        # its file text and statistics are made once, and each config still
+        # writes its file and warns under its own label
+        memo: dict[tuple[float, ...], tuple] = {}  # scores -> (file text, _correlations)
         for k, result in score_runs(scorers, dataset):
-            write_raw_scores(result, out_dir / _run_file_name(result))
-            done[k, name] = result, report_row(result, human)
+            if result.scores not in memo:
+                memo[result.scores] = raw_scores_text(result.scores), _correlations(result.scores, human)
+            text, stats = memo[result.scores]
+            write_raw_scores(result, out_dir / _run_file_name(result), text)
+            done[k, name] = result, _report_row(result, stats)
     ordered = [done[k, name] for k in range(len(scorers)) for name in datasets]
     return [result for result, _ in ordered], EvalReport([row for _, row in ordered])
 

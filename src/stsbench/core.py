@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -240,12 +241,20 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def write_raw_scores(run: BenchmarkRun, path: str | Path) -> None:
+def raw_scores_text(scores: Sequence[float]) -> str:
+    """The raw-score CSV of a run's scores: 17 significant digits, CRLF line ends."""
+    return "pair_index,score\r\n" + "".join([f"{i},{score:.17g}\r\n" for i, score in enumerate(scores)])
+
+
+def write_raw_scores(run: BenchmarkRun, path: str | Path, text: str | None = None) -> None:
+    """Write a run's raw-score CSV. ``text`` is ``raw_scores_text(run.scores)``
+    when the caller has it already, and is rendered here otherwise."""
     path = Path(path)
-    rows = "".join([f"{i},{score:.17g}\r\n" for i, score in enumerate(run.scores)])
+    if text is None:
+        text = raw_scores_text(run.scores)
     try:
         with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("pair_index,score\r\n" + rows)
+            fh.write(text)
     except OSError as exc:
         raise DatasetError(f"cannot write raw scores to {path}: {exc}") from exc
 

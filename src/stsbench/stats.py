@@ -24,9 +24,17 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-def pearson(x, y) -> float:
-    """Product-moment correlation of two equal-length samples."""
+def _finite_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     xa, ya = _as_pair(x, y)
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise DegenerateDataError("non-finite value: correlation undefined")
+    return xa, ya
+
+
+def pearson(x, y) -> float:
+    """Product-moment correlation of two equal-length samples; a non-finite
+    value or zero variance raises :class:`DegenerateDataError`."""
+    xa, ya = _finite_pair(x, y)
     xd = xa - xa.mean()
     yd = ya - ya.mean()
     denom = np.sqrt(np.sum(xd * xd)) * np.sqrt(np.sum(yd * yd))
@@ -46,7 +54,7 @@ def spearman(x, y) -> float:
     Coincides with the 1 - 6*sum(d^2)/(n(n^2-1)) closed form when there
     are no ties.
     """
-    xa, ya = _as_pair(x, y)
+    xa, ya = _finite_pair(x, y)
     return pearson(average_ranks(xa), average_ranks(ya))
 
 

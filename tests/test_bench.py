@@ -502,3 +502,108 @@ def test_annotations_view_without_annotations_warns_once(tmp_path, rng):
         warnings.simplefilter("always")
         bench.run(plan)
     assert not [w for w in caught if "annotations" in str(w.message)]
+
+
+# Templates that make the grid's options matter on ``make_dataset`` text:
+# capitals for lower-casing, punctuation for the tokenizers and char
+# filters (``%`` only for ``cf=biosses``), stop words for the stop-word lists.
+_MARKED = ("The {}.", "{} of IL-2 (5%)", "{}-binding, not [x]", "A {}: p<0.05", "{}")
+
+
+def _marked_dataset(rng, n_pairs: int, name: str, templates=_MARKED) -> Dataset:
+    """``make_dataset`` pairs in marked templates, the second sentence led by a
+    random prefix of the first, each human score the Jaccard index of the two
+    word sets, so that no grid config's correlations are degenerate."""
+    from stsbench.core import RawSentence, SentencePair
+    pairs = []
+    for pair in make_dataset(rng, n_pairs, name).pairs:
+        w1 = pair.s1.text.split()
+        w2 = w1[:int(rng.integers(len(w1) + 1))] + pair.s2.text.split()
+        s1, s2 = (RawSentence(templates[int(rng.integers(len(templates)))].format(
+            w[0].capitalize() + " " + " ".join(w[1:]) if rng.random() < 0.5 else " ".join(w)))
+                  for w in (w1, w2))
+        pairs.append(SentencePair(s1, s2, len(set(w1) & set(w2)) / len(set(w1) | set(w2))))
+    return Dataset(name, tuple(pairs))
+
+
+# sha256 over the name and bytes of every file of the grid run below: each
+# raw-score CSV and report.csv. A change that moves one byte of a score, a
+# statistic or their formatting changes it.
+GRID_DIGEST = "3780ae4b0a3b615663c43d7e6b78665c6690517c749c40b91f0cbd3b80173892"
+
+
+def test_grid_output_digest(tmp_path):
+    import hashlib
+    rng = np.random.default_rng(11)
+    args = ["grid", "--out", str(tmp_path / "out")]
+    for name, n in (("a", 30), ("b", 20)):
+        path = tmp_path / f"{name}.tsv"
+        write_dataset(_marked_dataset(rng, n, name), path)
+        args += ["--dataset", f"{name}={path}"]
+    for m in bench.STRING_MEASURES:  # the five token measures and levenshtein
+        args += ["--measure", m]
+    assert cli.main(args) == 0
+    digest = hashlib.sha256()
+    files = sorted((tmp_path / "out").iterdir())
+    assert len(files) == 2 * 6 * 48 + 1
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GRID_DIGEST
+
+
+def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
+    from collections import Counter
+    from dataclasses import replace
+    from stsbench import strsim
+    from stsbench.preprocess import token_tables
+    # no symbol that only cf=biosses deletes, so cf=default and cf=biosses agree
+    ds = _marked_dataset(np.random.default_rng(3), 15, "d", ("The {}.", "{}-binding, not [x]", "{}"))
+    path = tmp_path / "d.tsv"
+    write_dataset(ds, path)
+    calls = Counter()
+    # levenshtein_sim is looked up when a scorer is built, inside bench.run
+    for name in ("token_pair_scores", "levenshtein_sim"):
+        def counted(*args, _fn=getattr(strsim, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(strsim, name, counted)
+    plan = BenchmarkPlan({"d": path}, [MeasureSpec(m, full_grid()) for m in bench.STRING_MEASURES],
+                         out_dir=tmp_path / "out")
+    runs, _ = bench.run(plan)
+    files = {(r.measure_id, r.preprocess_config): plan.out_dir / bench._run_file_name(r) for r in runs}
+
+    sentences = list(dict.fromkeys(s for p in ds.pairs for s in (p.s1, p.s2)))
+    tables = {cfg: (t.lengths.tobytes(), t.ids.tobytes()) for cfg, t in token_tables(sentences, full_grid())}
+    distinct = len(set(tables.values()))
+    assert distinct < 48
+    assert calls == {"token_pair_scores": distinct, "levenshtein_sim": distinct * len(ds)}
+    for cfg in full_grid():
+        if cfg.char_filter == "default":
+            twin = replace(cfg, char_filter="biosses")
+            assert tables[cfg] == tables[twin]
+            for m in bench.STRING_MEASURES:
+                assert files[m, cfg.label()].read_bytes() == files[m, twin.label()].read_bytes()
+
+
+def test_reused_scores_warn_once_per_config(tmp_path):
+    from stsbench.core import RawSentence, SentencePair
+    # every measure scores each pair 1 under every config, so every
+    # config's correlations are degenerate; "The of" empties under a stop list
+    pairs = [SentencePair(RawSentence(t), RawSentence(t), h)
+             for t, h in (("Cell growth.", 0.2), ("The of", 0.5), ("gene", 0.9))]
+    path = tmp_path / "d.tsv"
+    write_dataset(Dataset("d", tuple(pairs)), path)
+    measures = ("qgram", "levenshtein")
+    plan = BenchmarkPlan({"d": path}, [MeasureSpec(m, full_grid()) for m in measures],
+                         out_dir=tmp_path / "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bench.run(plan)
+    expected = []
+    for cfg in full_grid():
+        for m in measures:
+            where = f"{m} on 'd' ({cfg.label()})"
+            if cfg.stopwords != "none":
+                expected.append(f"{where}: 1 pair(s) with an empty token sequence scored by the empty-input rule")
+            expected.append(f"{where}: zero variance: correlation undefined; reporting nan")
+    assert [str(w.message) for w in caught] == expected

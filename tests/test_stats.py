@@ -239,3 +239,16 @@ def test_error_analysis_validation(rng):
     ds = make_dataset(rng, 5)
     with pytest.raises(ValueError, match="scores"):
         error_analysis(BenchmarkRun(ds.name, "m", "c", (0.5,)), ds)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_correlations_of_non_finite_samples_are_degenerate(bad):
+    from stsbench.bench import report_row
+    x, y = [0.1, bad, 0.3], [0.1, 0.2, 0.3]
+    for corr in (pearson, spearman):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(DegenerateDataError, match="non-finite value: correlation undefined"):
+                corr(a, b)
+    with pytest.warns(UserWarning, match="non-finite value: correlation undefined; reporting nan"):
+        row = report_row(BenchmarkRun("d", "block", "cfg", tuple(x)), y)
+    assert all(math.isnan(v) for v in (row.r, row.rho, row.h))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -20,12 +20,12 @@ from .core import (
     attach_annotations,
     load_annotations,
     load_dataset,
-    raw_scores_text,
+    raw_scores_texts,
     write_raw_scores,
     write_table,
 )
 from .preprocess import PreprocessConfig, TokenSequence, TokenTable, token_tables
-from .stats import DegenerateDataError, harmonic, pearson, spearman
+from .stats import row_correlations
 
 
 class PlanError(ValueError):
@@ -178,8 +178,10 @@ def load_plan_datasets(plan: BenchmarkPlan) -> dict[str, Dataset]:
     return datasets
 
 
-def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[int, BenchmarkRun]]:
-    """Score a dataset with every scorer; yields (scorer index, run).
+def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[int, BenchmarkRun, int]]:
+    """Score a dataset with every scorer; yields (scorer index, run, empty),
+    ``empty`` being the number of pairs that a string measure scored by the
+    empty-input rule (0 for the other measures).
 
     Each distinct sentence is pre-processed once per config
     (:func:`token_tables`, in grid order) and every scorer reading that
@@ -194,7 +196,8 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
     numbered per call, so that memo lives for one call. A table is dropped
     as soon as no pending scorer needs it. A measure that reads the
     ``ner=annotations`` view of a dataset without annotations warns once;
-    the empty-input warning comes once per config.
+    the empty-input warning is the caller's, so that it can come after the
+    run's statistics, beside their warnings (:func:`report_rows`).
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
@@ -224,10 +227,8 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
                     scores = tuple(batch[scorer.measure_id].tolist())
                 memo[key] = scores
             # a string measure reads one view, so it is ready only with its own table
-            if MEASURES[scorer.measure_id][0] == "string" and empty:
-                warnings.warn(f"{scorer.measure_id} on {dataset.name!r} ({scorer.config.label()}): {empty} "
-                              "pair(s) with an empty token sequence scored by the empty-input rule")
-            yield k, BenchmarkRun(dataset.name, scorer.measure_id, scorer.config.label(), scores)
+            yield (k, BenchmarkRun(dataset.name, scorer.measure_id, scorer.config.label(), scores),
+                   empty if MEASURES[scorer.measure_id][0] == "string" else 0)
         needed = {v for s in pending.values() for v in s.views}
         tables = {v: t for v, t in tables.items() if v in needed}
 
@@ -247,8 +248,23 @@ def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]]
 
 
 def score_dataset(scorer: PairScorer, dataset: Dataset) -> BenchmarkRun:
-    """Score every pair of a dataset with one scorer."""
-    return next(score_runs([scorer], dataset))[1]
+    """Score every pair of a dataset with one scorer, warning about the pairs
+    scored by the empty-input rule."""
+    _, result, empty = next(score_runs([scorer], dataset))
+    _warn_run(result, empty)
+    return result
+
+
+def _warn_run(result: BenchmarkRun, empty: int, degenerate: Sequence[tuple[slice, str]] = ()) -> None:
+    """A run's warnings: the pairs scored by the empty-input rule, then each
+    part of the pairs whose statistics were degenerate, with the reason."""
+    where = f"{result.measure_id} on {result.dataset_name!r}"
+    if empty:
+        warnings.warn(f"{where} ({result.preprocess_config}): {empty} "
+                      "pair(s) with an empty token sequence scored by the empty-input rule")
+    for part, reason in degenerate:
+        pairs = "" if part == slice(None) else f" pairs[{part.start}:{part.stop}]"
+        warnings.warn(f"{where}{pairs} ({result.preprocess_config}): {reason}; reporting nan")
 
 
 @dataclass(frozen=True)
@@ -313,38 +329,52 @@ def _run_file_name(run: BenchmarkRun) -> str:
     return f"{run.dataset_name}__{run.measure_id.replace(':', '-')}__{safe_cfg}.csv"
 
 
-def _correlations(scores: tuple[float, ...], human: list[float],
-                  part: slice = slice(None)) -> tuple[float, float, float] | DegenerateDataError:
-    """Pearson, Spearman and harmonic score of the pairs in ``part``, or the
-    error that leaves one of them undefined."""
-    try:
-        r = pearson(scores[part], human[part])
-        rho = spearman(scores[part], human[part])
-        return r, rho, harmonic(r, rho)
-    except DegenerateDataError as exc:
-        return exc
+def score_matrix(runs: list[tuple[int, BenchmarkRun, int]]) -> tuple[np.ndarray, list[int]]:
+    """The scores of runs as :func:`score_runs` yields them, as one float64
+    matrix with a row per distinct scores tuple (configs with equal token
+    tables share one), and the row of each run."""
+    rows: dict[tuple[float, ...], int] = {}
+    row_of = [rows.setdefault(result.scores, len(rows)) for _, result, _ in runs]
+    return np.array(list(rows), dtype=np.float64), row_of
 
 
-def _report_row(result: BenchmarkRun, stats: tuple[float, float, float] | DegenerateDataError,
-                part: slice = slice(None)) -> ReportRow:
-    if isinstance(stats, DegenerateDataError):
-        where = "" if part == slice(None) else f" pairs[{part.start}:{part.stop}]"
-        warnings.warn(f"{result.measure_id} on {result.dataset_name!r}{where} "
-                      f"({result.preprocess_config}): {stats}; reporting nan")
-        stats = (float("nan"),) * 3
-    return ReportRow(result.dataset_name, result.measure_id, result.preprocess_config, *stats)
+def report_rows(runs: list[tuple[int, BenchmarkRun, int]], matrix: np.ndarray, row_of: list[int],
+                human: list[float], parts: Sequence[slice] = (slice(None),)) -> list[list[ReportRow]]:
+    """Each run's report row for each part of the pairs (all by default), from
+    the :func:`score_matrix` of the runs.
+
+    The statistics are computed once per part for the whole matrix
+    (:func:`stats.row_correlations`), and a degenerate statistic gives a nan
+    row. Then the warnings come run by run in the order of ``runs``, each
+    run's empty-input count before its degenerate parts, just as when each
+    run was evaluated alone.
+    """
+    human = np.asarray(human, dtype=np.float64)
+    per_part = [(part, row_correlations(matrix[:, part], human[part])) for part in parts]
+    values = [list(zip(c.r.tolist(), c.rho.tolist(), c.h.tolist())) for _, c in per_part]
+    out = []
+    for (_, result, empty), i in zip(runs, row_of):
+        _warn_run(result, empty, [(part, c.errors[i]) for part, c in per_part if c.errors[i]])
+        out.append([ReportRow(result.dataset_name, result.measure_id, result.preprocess_config, *v[i])
+                    for v in values])
+    return out
 
 
 def report_row(result: BenchmarkRun, human: list[float], part: slice = slice(None)) -> ReportRow:
     """Pearson, Spearman and harmonic score of the run's pairs in ``part`` (all by
     default); a degenerate statistic gives a nan row and a warning naming the part."""
-    return _report_row(result, _correlations(result.scores, human, part), part)
+    runs = [(0, result, 0)]
+    return report_rows(runs, *score_matrix(runs), human, [part])[0][0]
 
 
 def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     """Execute a validated plan: score, persist raw CSVs, build the report.
 
-    Runs and report rows come in plan order: measure, config, dataset.
+    Runs and report rows come in plan order: measure, config, dataset. Each
+    dataset's runs are scored first; then its statistics and raw-score text
+    come from one matrix of the distinct scores tuples (:func:`report_rows`,
+    :func:`core.raw_scores_texts`), and each config still writes its file and
+    warns under its own label.
     """
     scorers = validate_plan(plan)
     datasets = load_plan_datasets(plan)
@@ -352,17 +382,13 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     out_dir.mkdir(parents=True, exist_ok=True)
     done: dict[tuple[int, str], tuple[BenchmarkRun, ReportRow]] = {}
     for name, dataset in datasets.items():
-        human = dataset.human_scores()
-        # configs with equal token tables share one scores tuple (see score_runs):
-        # its file text and statistics are made once, and each config still
-        # writes its file and warns under its own label
-        memo: dict[tuple[float, ...], tuple] = {}  # scores -> (file text, _correlations)
-        for k, result in score_runs(scorers, dataset):
-            if result.scores not in memo:
-                memo[result.scores] = raw_scores_text(result.scores), _correlations(result.scores, human)
-            text, stats = memo[result.scores]
-            write_raw_scores(result, out_dir / _run_file_name(result), text)
-            done[k, name] = result, _report_row(result, stats)
+        runs = list(score_runs(scorers, dataset))
+        matrix, row_of = score_matrix(runs)
+        rows = report_rows(runs, matrix, row_of, dataset.human_scores())
+        texts = raw_scores_texts(matrix)
+        for (k, result, _), i, (row,) in zip(runs, row_of, rows):
+            write_raw_scores(result, out_dir / _run_file_name(result), texts[i])
+            done[k, name] = result, row
     ordered = [done[k, name] for k in range(len(scorers)) for name in datasets]
     return [result for result, _ in ordered], EvalReport([row for _, row in ordered])
 

@@ -198,9 +198,9 @@ def _cmd_significance(args) -> int:
                         f"of {len(dataset)} pairs: each split needs at least 2 pairs, "
                         f"so at most {len(dataset) // 2} splits")
     parts = stats.uniform_split(len(dataset), args.splits)
-    human = dataset.human_scores()
-    hs = {k: [bench.report_row(result, human, part).h for part in parts]
-          for k, result in bench.score_runs(scorers, dataset)}
+    runs = list(bench.score_runs(scorers, dataset))
+    rows = bench.report_rows(runs, *bench.score_matrix(runs), dataset.human_scores(), parts)
+    hs = {k: [row.h for row in part_rows] for (k, _, _), part_rows in zip(runs, rows)}
     # a measure evaluated at several configs gets one row per config
     ids = [sc.measure_id for sc in scorers]
     labels = [sc.measure_id if ids.count(sc.measure_id) == 1 else f"{sc.measure_id} @ {sc.config.label()}"

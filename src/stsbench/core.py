@@ -16,10 +16,13 @@ File formats handled here:
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 
 class DatasetError(ValueError):
@@ -244,6 +247,18 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
 def raw_scores_text(scores: Sequence[float]) -> str:
     """The raw-score CSV of a run's scores: 17 significant digits, CRLF line ends."""
     return "pair_index,score\r\n" + "".join([f"{i},{score:.17g}\r\n" for i, score in enumerate(scores)])
+
+
+def raw_scores_texts(scores: np.ndarray) -> list[str]:
+    """:func:`raw_scores_text` of each row of a float64 matrix, rendering each
+    distinct float of the matrix once. Floats are told apart by their bits,
+    so ``0.0`` and ``-0.0``, which compare equal, keep their own text."""
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    bits, cell = np.unique(scores.view(np.uint64), return_inverse=True)
+    texts = np.array([f"{x:.17g}\r\n" for x in bits.view(np.float64).tolist()], dtype=object)
+    prefixes = [f"{i}," for i in range(scores.shape[1])]
+    return ["pair_index,score\r\n" + "".join(map(operator.add, prefixes, row))
+            for row in texts[cell.reshape(scores.shape)].tolist()]
 
 
 def write_raw_scores(run: BenchmarkRun, path: str | Path, text: str | None = None) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,10 @@ from .core import BenchmarkRun, Dataset
 
 class DegenerateDataError(ValueError):
     """Zero-variance or otherwise degenerate input to a statistic."""
+
+
+_NON_FINITE = "non-finite value: correlation undefined"
+_ZERO_VARIANCE = "zero variance: correlation undefined"
 
 
 def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -27,19 +32,26 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _finite_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     xa, ya = _as_pair(x, y)
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-        raise DegenerateDataError("non-finite value: correlation undefined")
+        raise DegenerateDataError(_NON_FINITE)
     return xa, ya
 
 
 def pearson(x, y) -> float:
     """Product-moment correlation of two equal-length samples; a non-finite
-    value or zero variance raises :class:`DegenerateDataError`."""
+    value or zero variance raises :class:`DegenerateDataError`.
+
+    A constant sample has zero variance even where its float mean is not
+    exactly its value (``[0.1] * 3``) and the deviations are a rounding
+    residue, so it is caught by ``max == min``.
+    """
     xa, ya = _finite_pair(x, y)
+    if xa.max() == xa.min() or ya.max() == ya.min():
+        raise DegenerateDataError(_ZERO_VARIANCE)
     xd = xa - xa.mean()
     yd = ya - ya.mean()
     denom = np.sqrt(np.sum(xd * xd)) * np.sqrt(np.sum(yd * yd))
-    if denom == 0.0:
-        raise DegenerateDataError("zero variance: correlation undefined")
+    if denom == 0.0:  # deviations that underflow
+        raise DegenerateDataError(_ZERO_VARIANCE)
     return float(np.sum(xd * yd) / denom)
 
 
@@ -58,18 +70,90 @@ def spearman(x, y) -> float:
     return pearson(average_ranks(xa), average_ranks(ya))
 
 
+def _harmonic_error(r: float, rho: float) -> str | None:
+    """Why the harmonic score of r and rho is undefined, or None."""
+    if not (math.isfinite(r) and math.isfinite(rho)):
+        return f"r = {r:.6g} and rho = {rho:.6g} are not both finite: harmonic score undefined"
+    if r < 0.0 < rho or rho < 0.0 < r:
+        return f"r = {r:.6g} and rho = {rho:.6g} have opposite signs: harmonic score undefined"
+    if r + rho == 0.0:
+        return "r + rho is zero: harmonic score undefined"
+    return None
+
+
 def harmonic(r: float, rho: float) -> float:
     """Harmonic combination 2*r*rho / (r + rho) of the two correlations.
 
-    Undefined, and raised as degenerate, when r and rho have opposite signs
-    (the formula would leave [-1, 1]) or sum to zero.
+    Undefined, and raised as degenerate, when r or rho is not finite, when
+    they have opposite signs (the formula would leave [-1, 1]) or when they
+    sum to zero.
     """
-    if r < 0.0 < rho or rho < 0.0 < r:
-        raise DegenerateDataError(f"r = {r:.6g} and rho = {rho:.6g} have opposite signs: "
-                                  "harmonic score undefined")
-    if r + rho == 0.0:
-        raise DegenerateDataError("r + rho is zero: harmonic score undefined")
+    error = _harmonic_error(r, rho)
+    if error is not None:
+        raise DegenerateDataError(error)
     return 2.0 * r * rho / (r + rho)
+
+
+@dataclass(frozen=True)
+class RowCorrelations:
+    """Pearson, Spearman and harmonic score of each row of a score matrix.
+
+    ``errors[i]`` is the message of the :class:`DegenerateDataError` that
+    :func:`pearson`, :func:`spearman` or :func:`harmonic` raises on row i,
+    whose three values are then nan, or None.
+    """
+
+    r: np.ndarray
+    rho: np.ndarray
+    h: np.ndarray
+    errors: list[str | None]
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pearson` of each finite C-contiguous row of ``x`` against ``y``,
+    and the mask of rows with zero variance. The row-wise means and sums run
+    over contiguous memory, in the order that the 1-d ones do, so each
+    value is bit-identical to the row's own :func:`pearson`."""
+    xd = x - x.mean(axis=1)[:, None]
+    yd = y - y.mean()
+    denom = np.sqrt(np.sum(xd * xd, axis=1)) * np.sqrt(np.sum(yd * yd))
+    flat = (x.max(axis=1) == x.min(axis=1)) | (y.max() == y.min()) | (denom == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sum(xd * yd, axis=1) / denom, flat
+
+
+def row_correlations(scores: np.ndarray, human) -> RowCorrelations:
+    """:func:`pearson`, :func:`spearman` and :func:`harmonic` of every row of
+    ``scores`` (one row per run, one column per pair) against ``human``, in
+    one pass: row-wise statistics, one ``rankdata`` over the whole matrix and
+    the human ranks once. Each value and error equals what those functions
+    give on the row alone."""
+    x = np.ascontiguousarray(scores, dtype=float)
+    y = np.asarray(human, dtype=float)
+    if x.ndim != 2 or y.shape != x.shape[1:]:
+        raise ValueError(f"expected a score matrix with one column per human score, "
+                         f"got {x.shape} and {y.shape}")
+    if x.shape[1] < 2:
+        raise ValueError("need at least 2 observations")
+    finite = np.isfinite(x).all(axis=1) & bool(np.isfinite(y).all())
+    if not finite.all():  # zero rows that are reported as non-finite anyway
+        x = np.where(finite[:, None], x, 0.0)
+        y = np.where(np.isfinite(y), y, 0.0)
+    r, flat = _pearson_rows(x, y)
+    rho, flat_ranks = _pearson_rows(np.ascontiguousarray(scipy_stats.rankdata(x, axis=1)), average_ranks(y))
+    bad = ~finite | flat | flat_ranks
+    errors: list[str | None] = [None] * len(x)
+    for i in np.flatnonzero(bad).tolist():
+        errors[i] = _ZERO_VARIANCE if finite[i] else _NON_FINITE
+    # the cases of _harmonic_error, which words the message of each row hit
+    undefined = ~bad & (~np.isfinite(r) | ~np.isfinite(rho) | (r + rho == 0.0)
+                        | (r < 0.0) & (rho > 0.0) | (rho < 0.0) & (r > 0.0))
+    for i in np.flatnonzero(undefined).tolist():
+        errors[i] = _harmonic_error(float(r[i]), float(rho[i]))
+    bad |= undefined
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = 2.0 * r * rho / (r + rho)
+    return RowCorrelations(*(np.where(bad, np.nan, v) for v in (r, rho, h)), errors)
 
 
 def uniform_split(n: int, k: int = 10) -> list[slice]:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from stsbench.core import (
@@ -12,6 +13,8 @@ from stsbench.core import (
     attach_annotations,
     load_annotations,
     load_dataset,
+    raw_scores_text,
+    raw_scores_texts,
     read_raw_scores,
     write_dataset,
     write_raw_scores,
@@ -167,6 +170,23 @@ def test_raw_scores_round_trip_bit_exact(tmp_path):
     back = read_raw_scores(p, "d", "block", "cfg")
     assert back.scores == scores
     assert back == run
+
+
+def test_raw_scores_texts_render_each_float_by_its_bits(tmp_path):
+    # 0.0 == -0.0, so a render keyed on the value gives one of them the other's text
+    tiny = 5e-324
+    rows = [(0.0, -0.0, math.nan, tiny, 1.0, 1 / 3),
+            (-0.0, 0.0, 1 / 3, 1.0, tiny, math.nan),
+            (1 / 3, 1 / 3, -0.0, -0.0, 0.1 + 0.2, 0.0)]
+    texts = raw_scores_texts(np.array(rows))
+    assert texts == [raw_scores_text(row) for row in rows]
+    assert texts[1].splitlines()[1:3] == ["0,-0", "1,0"]
+    for row, text in zip(rows, texts):
+        p = tmp_path / "scores.csv"
+        write_raw_scores(BenchmarkRun("d", "block", "cfg", row), p, text)
+        back = np.array(read_raw_scores(p).scores)
+        assert np.array_equal(back, np.array(row), equal_nan=True)
+        assert np.signbit(back).tolist() == np.signbit(row).tolist()
 
 
 def test_raw_scores_header_check(tmp_path):

@@ -15,6 +15,7 @@ from stsbench.stats import (
     harmonic,
     paired_ttest_one_sided,
     pearson,
+    row_correlations,
     significance_matrix,
     spearman,
     uniform_split,
@@ -51,6 +52,16 @@ def test_pearson_perfect_and_degenerate():
         pearson([1, 2], [1, 2, 3])
 
 
+@pytest.mark.parametrize("x, y", [([0.1] * 3, [0, 1, 2]), ([1 / 3] * 1068, range(1068))])
+def test_pearson_of_a_constant_sample_with_an_inexact_mean_is_degenerate(x, y):
+    # the float mean of these samples is not their value, so the deviations
+    # are a rounding residue rather than zero
+    assert np.asarray(x).mean() != x[0]
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(DegenerateDataError, match="zero variance: correlation undefined"):
+            pearson(a, b)
+
+
 def test_average_ranks_ties():
     assert list(average_ranks([10, 20, 30])) == [1, 2, 3]
     assert list(average_ranks([10, 20, 20, 30])) == [1, 2.5, 2.5, 4]
@@ -84,6 +95,67 @@ def test_harmonic():
     for r, rho in ((0.3, -0.2), (-0.2, 0.3)):
         with pytest.raises(DegenerateDataError, match="opposite signs"):
             harmonic(r, rho)
+    for r, rho in ((math.nan, math.nan), (math.nan, 0.5), (0.5, math.inf), (-math.inf, -0.5)):
+        with pytest.raises(DegenerateDataError, match="not both finite"):
+            harmonic(r, rho)
+
+
+def _scalar_statistics(x, y) -> tuple[tuple[float, float, float], str | None]:
+    try:
+        r = pearson(x, y)
+        rho = spearman(x, y)
+        return (r, rho, harmonic(r, rho)), None
+    except DegenerateDataError as exc:
+        return (math.nan,) * 3, str(exc)
+
+
+def _score_matrix(rng, n: int, human: np.ndarray) -> np.ndarray:
+    """Random score rows with ties, constant rows, non-finite rows and rows
+    whose r and rho have opposite signs."""
+    rows = [rng.random(n), np.round(rng.random(n), 1), human * 0.5, -human,
+            np.full(n, 0.1), np.full(n, 1 / 3), np.zeros(n)]
+    for bad in (math.nan, math.inf, -math.inf):
+        row = rng.random(n)
+        row[int(rng.integers(n))] = bad
+        rows.append(row)
+    # an outlier at the top human score makes r positive while the ranks
+    # still mostly fall: r > 0 > rho
+    outlier = -human + rng.random(n) * 1e-3
+    outlier[int(np.argmax(human))] = 1e3
+    rows += [outlier, -outlier]
+    return np.array(rows + [rng.random(n) for _ in range(20)])
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (9, 4), (129, 10), (1068, 10)])
+def test_row_correlations_match_the_scalar_statistics_bit_for_bit(rng, n, k):
+    # 129 and 1068 pass numpy's 128-element pairwise-summation blocks
+    errors = set()
+    for human in (rng.random(n), np.round(rng.random(n) * 4) / 4):
+        scores = _score_matrix(rng, n, human)
+        for part in [slice(None), *uniform_split(n, k)]:
+            got = row_correlations(scores[:, part], human[part])
+            for i, row in enumerate(scores[:, part]):
+                values, error = _scalar_statistics(row, human[part])
+                assert got.errors[i] == error
+                assert np.array([got.r[i], got.rho[i], got.h[i]]).tobytes() == np.array(values).tobytes()
+                errors.add(error)
+    assert "non-finite value: correlation undefined" in errors
+    assert "zero variance: correlation undefined" in errors
+    assert None in errors
+    if n > 2:
+        assert any(e and "opposite signs" in e for e in errors)
+
+
+def test_row_correlations_degenerate_human_scores_and_shapes(rng):
+    scores = rng.random((3, 5))
+    for human, error in (([0.5] * 5, "zero variance"), ([0.1, math.nan, 0.3, 0.4, 0.5], "non-finite")):
+        got = row_correlations(scores, human)
+        assert all(e.startswith(error) for e in got.errors)
+        assert np.isnan(np.concatenate([got.r, got.rho, got.h])).all()
+    with pytest.raises(ValueError, match="at least 2 observations"):
+        row_correlations(scores[:, :1], [0.5])
+    with pytest.raises(ValueError, match="one column per human score"):
+        row_correlations(scores, [0.5] * 4)
 
 
 def test_uniform_split_sizes(rng):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -24,7 +24,7 @@ from .core import (
     write_raw_scores,
     write_table,
 )
-from .preprocess import PreprocessConfig, TokenSequence, TokenTable, token_tables
+from .preprocess import PreprocessConfig, TokenSequence, token_tables
 from .stats import row_correlations
 
 
@@ -83,9 +83,10 @@ class PairScorer:
 
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
-    measures (both for ``com``). ``score_tokens`` takes each side's tokens,
-    a tuple with one sequence per view when there are several; it is None
-    for the measures that :func:`strsim.token_pair_scores` scores.
+    measures (both for ``com``). ``score_tokens`` scores a pair's tokens of
+    one view; it is None for the measures that :func:`strsim.token_pair_scores`
+    scores. ``com`` is WBSM over each of its views, combined by
+    :func:`score_runs`.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -108,11 +109,7 @@ class PairScorer:
             kind, ners = how
             words = resources.word_measure(kind)
             self.views = tuple(replace(config, ner=ner) for ner in ners)
-            if len(ners) == 1:
-                self.score_tokens = lambda a, b: ontosim.wbsm(a, b, words)
-            else:
-                self.score_tokens = lambda a, b: ontosim.com(ontosim.wbsm(a[0], b[0], words),
-                                                             ontosim.wbsm(a[1], b[1], words))
+            self.score_tokens = lambda a, b: ontosim.wbsm(a, b, words)
 
 
 @dataclass
@@ -178,26 +175,28 @@ def load_plan_datasets(plan: BenchmarkPlan) -> dict[str, Dataset]:
     return datasets
 
 
-def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[int, BenchmarkRun, int]]:
-    """Score a dataset with every scorer; yields (scorer index, run, empty),
+def score_runs(scorers: list[PairScorer], dataset: Dataset
+               ) -> tuple[np.ndarray, list[tuple[int, BenchmarkRun, int, int]]]:
+    """Score a dataset with every scorer: its float64 score matrix, a row
+    per distinct scores list and a column per pair, and the runs as
+    ``(scorer index, run, row, empty)`` in the order they were scored,
     ``empty`` being the number of pairs that a string measure scored by the
     empty-input rule (0 for the other measures).
 
     Each distinct sentence is pre-processed once per config
-    (:func:`token_tables`, in grid order) and every scorer reading that
-    config scores from the same table: the five token measures from one
-    :func:`strsim.token_pair_scores` call on its token ids, the others pair
-    by pair from the table decoded once. Configs often give equal tables
-    (22 distinct of the 48 grid configs on the benchmark's string corpus:
-    ``cf=default`` and ``cf=biosses`` agree on a sentence without the extra
-    BIOSSES symbols), so a measure scores each distinct set of view tables
-    once and every config with those tables gets the very same scores
-    tuple. Tables are compared by a sha256 over their ids, which are
-    numbered per call, so that memo lives for one call. A table is dropped
-    as soon as no pending scorer needs it. A measure that reads the
-    ``ner=annotations`` view of a dataset without annotations warns once;
-    the empty-input warning is the caller's, so that it can come after the
-    run's statistics, beside their warnings (:func:`report_rows`).
+    (:func:`token_tables`, in grid order), and every scorer reading that
+    config scores its table in the step that made it: the five token
+    measures from one :func:`strsim.token_pair_scores` call on its ids, the
+    others pair by pair from the table decoded once. Configs often give
+    equal tables (22 distinct of the 48 grid configs on the benchmark's
+    string corpus), so the memo maps (measure id, sha256 of the table) to a
+    matrix row and every config with that table gets the very same row; ids
+    are numbered per call, so the memo lives for one call. ``com`` keeps the
+    row of each of its views and, at the last one, combines them with
+    :func:`ontosim.com`. A measure that reads the ``ner=annotations`` view of
+    a dataset without annotations warns once; the empty-input warning is the
+    caller's, so that it can come after the run's statistics, beside their
+    warnings (:func:`report_rows`).
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
@@ -206,36 +205,44 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset) -> Iterator[tuple[in
         for mid in dict.fromkeys(s.measure_id for s in scorers if any(v.ner == "annotations" for v in s.views)):
             warnings.warn(f"{mid} on {dataset.name!r}: no sentence has annotations, so the "
                           "ner=annotations view is the text without concept substitution")
-    pending = dict(enumerate(scorers))
-    tables: dict[PreprocessConfig, TokenTable] = {}
-    keys: dict[PreprocessConfig, bytes] = {}
-    memo: dict[tuple, tuple[float, ...]] = {}  # (measure id, *view keys) -> scores
-    for cfg, table in token_tables(list(ids), {v for s in scorers for v in s.views}):
-        tables[cfg] = table
-        keys[cfg] = hashlib.sha256(np.concatenate([table.lengths, table.ids])).digest()
+    readers: dict[PreprocessConfig, list[int]] = {}
+    for k, scorer in enumerate(scorers):
+        for view in scorer.views:
+            readers.setdefault(view, []).append(k)
+    memo: dict[tuple[str, bytes], int] = {}  # (measure id, table sha256) -> row
+    rows: list[np.ndarray] = []
+    view_rows: dict[int, dict[PreprocessConfig, int]] = {}  # com's rows of the views scored so far
+    runs: list[tuple[int, int, int]] = []
+    for cfg, table in token_tables(list(ids), readers):
+        key = hashlib.sha256(np.concatenate([table.lengths, table.ids])).digest()
         empty = np.count_nonzero(table.lengths[pair_index].min(axis=1) == 0)
         batch = None
-        for k in [k for k, s in pending.items() if all(v in tables for v in s.views)]:
-            scorer = pending.pop(k)
-            key = (scorer.measure_id, *(keys[v] for v in scorer.views))
-            scores = memo.get(key)
-            if scores is None:
-                if scorer.score_tokens is not None:
-                    scores = _score_pairs(scorer, dataset.name, [tables[v].tokens for v in scorer.views], pairs)
-                else:
+        for k in readers[cfg]:
+            scorer = scorers[k]
+            row = memo.get((scorer.measure_id, key))
+            if row is None:
+                if scorer.score_tokens is None:
                     batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
-                    scores = tuple(batch[scorer.measure_id].tolist())
-                memo[key] = scores
-            # a string measure reads one view, so it is ready only with its own table
-            yield (k, BenchmarkRun(dataset.name, scorer.measure_id, scorer.config.label(), scores),
-                   empty if MEASURES[scorer.measure_id][0] == "string" else 0)
-        needed = {v for s in pending.values() for v in s.views}
-        tables = {v: t for v, t in tables.items() if v in needed}
+                    rows.append(batch[scorer.measure_id])
+                else:
+                    rows.append(_score_pairs(scorer, dataset.name, table.tokens, pairs))
+                row = memo[scorer.measure_id, key] = len(rows) - 1
+            if len(scorer.views) > 1:
+                done = view_rows.setdefault(k, {})
+                done[cfg] = row
+                if len(done) < len(scorer.views):
+                    continue
+                rows.append(ontosim.com(*(rows[done[v]] for v in scorer.views)))
+                row = len(rows) - 1
+            runs.append((k, row, empty if MEASURES[scorer.measure_id][0] == "string" else 0))
+    matrix = np.array(rows, dtype=np.float64)
+    scores = [tuple(r) for r in matrix.tolist()]
+    return matrix, [(k, BenchmarkRun(dataset.name, scorers[k].measure_id, scorers[k].config.label(), scores[row]),
+                     row, empty) for k, row, empty in runs]
 
 
-def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]],
-                 pairs: list[tuple[int, int]]) -> tuple[float, ...]:
-    table = views[0] if len(views) == 1 else list(zip(*views))
+def _score_pairs(scorer: PairScorer, name: str, table: list[TokenSequence],
+                 pairs: list[tuple[int, int]]) -> np.ndarray:
     score = scorer.score_tokens
     scores: list[float] = []
     try:
@@ -244,13 +251,13 @@ def _score_pairs(scorer: PairScorer, name: str, views: list[list[TokenSequence]]
     except Exception as exc:
         raise ScoringError(
             f"{scorer.measure_id} failed on pair {len(scores)} of {name!r}: {exc}") from exc
-    return tuple(scores)
+    return np.array(scores, dtype=np.float64)
 
 
 def score_dataset(scorer: PairScorer, dataset: Dataset) -> BenchmarkRun:
     """Score every pair of a dataset with one scorer, warning about the pairs
     scored by the empty-input rule."""
-    _, result, empty = next(score_runs([scorer], dataset))
+    _, [(_, result, _, empty)] = score_runs([scorer], dataset)
     _warn_run(result, empty)
     return result
 
@@ -304,10 +311,12 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def best_config(report: EvalReport, measure_id: str) -> str:
+def best_config(report: EvalReport, measure_id: str) -> str | None:
     """Config label maximizing the mean harmonic score across datasets.
 
     Exact ties resolve to the earlier config in grid order, with a warning.
+    When every config was degenerate (mean h nan) there is none: None, with
+    a warning.
     """
     configs = report.configs_for(measure_id)
     if not configs:
@@ -315,7 +324,8 @@ def best_config(report: EvalReport, measure_id: str) -> str:
     scores = [report.average_h(measure_id, c) for c in configs]
     finite = [s for s in scores if s == s]
     if not finite:
-        raise ValueError(f"every config of {measure_id!r} was degenerate")
+        warnings.warn(f"{measure_id}: every config was degenerate; no best config")
+        return None
     best = max(finite)
     winners = [c for c, s in zip(configs, scores) if s == best]
     if len(winners) > 1:
@@ -329,19 +339,10 @@ def _run_file_name(run: BenchmarkRun) -> str:
     return f"{run.dataset_name}__{run.measure_id.replace(':', '-')}__{safe_cfg}.csv"
 
 
-def score_matrix(runs: list[tuple[int, BenchmarkRun, int]]) -> tuple[np.ndarray, list[int]]:
-    """The scores of runs as :func:`score_runs` yields them, as one float64
-    matrix with a row per distinct scores tuple (configs with equal token
-    tables share one), and the row of each run."""
-    rows: dict[tuple[float, ...], int] = {}
-    row_of = [rows.setdefault(result.scores, len(rows)) for _, result, _ in runs]
-    return np.array(list(rows), dtype=np.float64), row_of
-
-
-def report_rows(runs: list[tuple[int, BenchmarkRun, int]], matrix: np.ndarray, row_of: list[int],
+def report_rows(matrix: np.ndarray, runs: list[tuple[int, BenchmarkRun, int, int]],
                 human: list[float], parts: Sequence[slice] = (slice(None),)) -> list[list[ReportRow]]:
-    """Each run's report row for each part of the pairs (all by default), from
-    the :func:`score_matrix` of the runs.
+    """Each run's report row for each part of the pairs (all by default),
+    from the score matrix and runs that :func:`score_runs` returns.
 
     The statistics are computed once per part for the whole matrix
     (:func:`stats.row_correlations`), and a degenerate statistic gives a nan
@@ -353,18 +354,11 @@ def report_rows(runs: list[tuple[int, BenchmarkRun, int]], matrix: np.ndarray, r
     per_part = [(part, row_correlations(matrix[:, part], human[part])) for part in parts]
     values = [list(zip(c.r.tolist(), c.rho.tolist(), c.h.tolist())) for _, c in per_part]
     out = []
-    for (_, result, empty), i in zip(runs, row_of):
+    for _, result, i, empty in runs:
         _warn_run(result, empty, [(part, c.errors[i]) for part, c in per_part if c.errors[i]])
         out.append([ReportRow(result.dataset_name, result.measure_id, result.preprocess_config, *v[i])
                     for v in values])
     return out
-
-
-def report_row(result: BenchmarkRun, human: list[float], part: slice = slice(None)) -> ReportRow:
-    """Pearson, Spearman and harmonic score of the run's pairs in ``part`` (all by
-    default); a degenerate statistic gives a nan row and a warning naming the part."""
-    runs = [(0, result, 0)]
-    return report_rows(runs, *score_matrix(runs), human, [part])[0][0]
 
 
 def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
@@ -372,9 +366,9 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
 
     Runs and report rows come in plan order: measure, config, dataset. Each
     dataset's runs are scored first; then its statistics and raw-score text
-    come from one matrix of the distinct scores tuples (:func:`report_rows`,
-    :func:`core.raw_scores_texts`), and each config still writes its file and
-    warns under its own label.
+    come from its score matrix, a row per distinct scores list
+    (:func:`report_rows`, :func:`core.raw_scores_texts`), and each config
+    still writes its file and warns under its own label.
     """
     scorers = validate_plan(plan)
     datasets = load_plan_datasets(plan)
@@ -382,11 +376,10 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     out_dir.mkdir(parents=True, exist_ok=True)
     done: dict[tuple[int, str], tuple[BenchmarkRun, ReportRow]] = {}
     for name, dataset in datasets.items():
-        runs = list(score_runs(scorers, dataset))
-        matrix, row_of = score_matrix(runs)
-        rows = report_rows(runs, matrix, row_of, dataset.human_scores())
+        matrix, runs = score_runs(scorers, dataset)
+        rows = report_rows(matrix, runs, dataset.human_scores())
         texts = raw_scores_texts(matrix)
-        for (k, result, _), i, (row,) in zip(runs, row_of, rows):
+        for (k, result, i, _), (row,) in zip(runs, rows):
             write_raw_scores(result, out_dir / _run_file_name(result), texts[i])
             done[k, name] = result, row
     ordered = [done[k, name] for k in range(len(scorers)) for name in datasets]

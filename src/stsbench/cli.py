@@ -169,6 +169,9 @@ def _cmd_grid(args) -> int:
     report.write_csv(Path(plan.out_dir) / "report.csv")
     for spec in plan.measures:
         best = bench.best_config(report, spec.measure_id)
+        if best is None:
+            print(f"{spec.measure_id}: no best config (every config degenerate)")
+            continue
         h = report.average_h(spec.measure_id, best)
         print(f"{spec.measure_id}: best config {best} (mean h = {h:.4f})")
     return 0
@@ -198,9 +201,9 @@ def _cmd_significance(args) -> int:
                         f"of {len(dataset)} pairs: each split needs at least 2 pairs, "
                         f"so at most {len(dataset) // 2} splits")
     parts = stats.uniform_split(len(dataset), args.splits)
-    runs = list(bench.score_runs(scorers, dataset))
-    rows = bench.report_rows(runs, *bench.score_matrix(runs), dataset.human_scores(), parts)
-    hs = {k: [row.h for row in part_rows] for (k, _, _), part_rows in zip(runs, rows)}
+    matrix, runs = bench.score_runs(scorers, dataset)
+    rows = bench.report_rows(matrix, runs, dataset.human_scores(), parts)
+    hs = {k: [row.h for row in part_rows] for (k, *_), part_rows in zip(runs, rows)}
     # a measure evaluated at several configs gets one row per config
     ids = [sc.measure_id for sc in scorers]
     labels = [sc.measure_id if ids.count(sc.measure_id) == 1 else f"{sc.measure_id} @ {sc.config.label()}"

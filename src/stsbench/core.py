@@ -261,12 +261,10 @@ def raw_scores_texts(scores: np.ndarray) -> list[str]:
             for row in texts[cell.reshape(scores.shape)].tolist()]
 
 
-def write_raw_scores(run: BenchmarkRun, path: str | Path, text: str | None = None) -> None:
-    """Write a run's raw-score CSV. ``text`` is ``raw_scores_text(run.scores)``
-    when the caller has it already, and is rendered here otherwise."""
+def write_raw_scores(run: BenchmarkRun, path: str | Path, text: str) -> None:
+    """Write a run's raw-score CSV, ``text`` being its
+    :func:`raw_scores_texts` row (equal to ``raw_scores_text(run.scores)``)."""
     path = Path(path)
-    if text is None:
-        text = raw_scores_text(run.scores)
     try:
         with path.open("w", encoding="utf-8", newline="") as fh:
             fh.write(text)

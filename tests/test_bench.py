@@ -225,6 +225,26 @@ def test_best_config(tmp_path, rng):
         best_config(report, "jaccard")
 
 
+def test_grid_reports_every_measure_when_one_is_degenerate_everywhere(tmp_path, capsys):
+    from stsbench.core import RawSentence, SentencePair
+    # identical sentences score 1 under every config, so every h is nan
+    pairs = [SentencePair(RawSentence(t), RawSentence(t), h)
+             for t, h in (("Cell growth.", 0.2), ("protein binding", 0.5), ("gene", 0.9))]
+    path = tmp_path / "d.tsv"
+    write_dataset(Dataset("d", tuple(pairs)), path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["grid", "--dataset", f"d={path}", "--measure", "block", "--measure", "qgram",
+                       "--out", str(out)])
+    assert rc == 0
+    assert len(list(out.iterdir())) == 2 * 48 + 1
+    assert capsys.readouterr().out.splitlines() == [
+        "block: no best config (every config degenerate)", "qgram: no best config (every config degenerate)"]
+    assert [str(w.message) for w in caught if "no best config" in str(w.message)] == [
+        f"{m}: every config was degenerate; no best config" for m in ("block", "qgram")]
+
+
 def test_best_config_tie_warns():
     rows = [
         bench.ReportRow("d", "block", "cfgA", 0.5, 0.5, 0.5),
@@ -422,12 +442,12 @@ def test_sliced_h_equals_h_of_the_part_scored_alone(seed, n, k, measure, config)
     human = ds.human_scores()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate parts and emptied sentences warn
-        whole = score_dataset(scorer, ds)
+        whole = bench.score_runs([scorer], ds)
         for part in uniform_split(n, k):
             alone = Dataset(ds.name, ds.pairs[part])
-            h_alone = bench.report_row(score_dataset(scorer, alone), alone.human_scores()).h
-            h_sliced = bench.report_row(whole, human, part).h
-            assert np.float64(h_sliced).tobytes() == np.float64(h_alone).tobytes()
+            [[row_alone]] = bench.report_rows(*bench.score_runs([scorer], alone), alone.human_scores())
+            [[row_sliced]] = bench.report_rows(*whole, human, [part])
+            assert np.float64(row_sliced.h).tobytes() == np.float64(row_alone.h).tobytes()
 
 
 def test_plan_rejects_unknown_keys(tmp_path, rng, capsys):
@@ -502,6 +522,49 @@ def test_annotations_view_without_annotations_warns_once(tmp_path, rng):
         warnings.simplefilter("always")
         bench.run(plan)
     assert not [w for w in caught if "annotations" in str(w.message)]
+
+
+def test_ubsm_and_com_score_their_views_bit_for_bit(tmp_path, rng):
+    from dataclasses import replace
+    # each sentence's first word is annotated with a code "c-<i>": treebank
+    # rules split it at the hyphen, so the two tokenizers give equal ner=none
+    # tables but different ner=annotations ones
+    tax_path, lex_path = _onto_files(tmp_path, extra_lexicon="".join(f"c-{i}\tc{i}\n" for i in range(30)))
+    configs = [PreprocessConfig(), PreprocessConfig(tokenizer="treebank-rules"),
+               PreprocessConfig(lowercase=False)]
+    plan, ds = _plan(tmp_path, rng, [MeasureSpec(m, configs) for m in ("ubsm-rada", "com")],
+                     taxonomy=tax_path, lexicon=lex_path)
+    ann_path = tmp_path / "ann.tsv"
+    ann_path.write_text("".join(f"{row}\t{side}\t0\t{len(s.text.split()[0])}\tC-{(row + j) % 30}\n"
+                                for row, p in enumerate(ds.pairs)
+                                for j, (side, s) in enumerate((("s1", p.s1), ("s2", p.s2)))),
+                        encoding="utf-8")
+    plan.annotations = {"data": ann_path}
+    runs, _ = bench.run(plan)
+    [annotated] = bench.load_plan_datasets(plan).values()
+
+    words = ontosim.WordSimMeasure("rada", ontosim.load_taxonomy(tax_path), ontosim.load_lexicon(lex_path))
+
+    def view(cfg, ner):
+        return [(preprocess(p.s1, replace(cfg, ner=ner)), preprocess(p.s2, replace(cfg, ner=ner)))
+                for p in annotated.pairs]
+
+    def wbsm(cfg, ner):
+        return [ontosim.wbsm(a, b, words) for a, b in view(cfg, ner)]
+
+    assert view(configs[0], "none") == view(configs[1], "none")
+    assert view(configs[0], "annotations") != view(configs[1], "annotations")
+    expected = {}
+    for cfg in configs:
+        expected["ubsm-rada", cfg.label()] = wbsm(cfg, "annotations")
+        expected["com", cfg.label()] = [ontosim.com(w, u)
+                                        for w, u in zip(wbsm(cfg, "none"), wbsm(cfg, "annotations"))]
+    for m in ("ubsm-rada", "com"):  # a memo keyed on the ner=none tables would give these equal rows
+        assert expected[m, configs[0].label()] != expected[m, configs[1].label()]
+    assert len(runs) == 2 * len(configs)
+    for run in runs:
+        want = expected[run.measure_id, run.preprocess_config]
+        assert np.array(run.scores).tobytes() == np.array(want).tobytes()
 
 
 # Templates that make the grid's options matter on ``make_dataset`` text:

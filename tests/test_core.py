@@ -166,7 +166,7 @@ def test_raw_scores_round_trip_bit_exact(tmp_path):
     scores = (0.1 + 0.2, 1 / 3, math.pi / 4, 0.0, 1.0)
     run = BenchmarkRun("d", "block", "cfg", scores)
     p = tmp_path / "scores.csv"
-    write_raw_scores(run, p)
+    write_raw_scores(run, p, raw_scores_text(run.scores))
     back = read_raw_scores(p, "d", "block", "cfg")
     assert back.scores == scores
     assert back == run

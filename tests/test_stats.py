@@ -315,12 +315,12 @@ def test_error_analysis_validation(rng):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_correlations_of_non_finite_samples_are_degenerate(bad):
-    from stsbench.bench import report_row
+    from stsbench.bench import report_rows
     x, y = [0.1, bad, 0.3], [0.1, 0.2, 0.3]
     for corr in (pearson, spearman):
         for a, b in ((x, y), (y, x)):
             with pytest.raises(DegenerateDataError, match="non-finite value: correlation undefined"):
                 corr(a, b)
     with pytest.warns(UserWarning, match="non-finite value: correlation undefined; reporting nan"):
-        row = report_row(BenchmarkRun("d", "block", "cfg", tuple(x)), y)
+        [[row]] = report_rows(np.array([x]), [(0, BenchmarkRun("d", "block", "cfg", tuple(x)), 0, 0)], y)
     assert all(math.isnan(v) for v in (row.r, row.rho, row.h))

@@ -86,7 +86,9 @@ class PairScorer:
     measures (both for ``com``). ``score_tokens`` scores a pair's tokens of
     one view; it is None for the measures that :func:`strsim.token_pair_scores`
     scores. ``com`` is WBSM over each of its views, combined by
-    :func:`score_runs`.
+    :func:`score_runs`. ``kernel`` names what ``score_tokens`` computes: the
+    word-similarity kind for the WBSM-based measures (``wbsm-*``, ``ubsm-*``
+    and ``com``), which share it, and the measure id for every other measure.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -95,6 +97,7 @@ class PairScorer:
         self.measure_id = measure_id
         self.config = config
         self.views: tuple[PreprocessConfig, ...] = (config,)
+        self.kernel = measure_id
         family, how = MEASURES[measure_id]
         if family == "string":
             self.score_tokens = getattr(strsim, how) if how else None
@@ -106,8 +109,8 @@ class PairScorer:
         else:
             if resources.taxonomy is None or resources.lexicon is None:
                 raise PlanError(f"measure {measure_id!r} requires a taxonomy and lexicon")
-            kind, ners = how
-            words = resources.word_measure(kind)
+            self.kernel, ners = how
+            words = resources.word_measure(self.kernel)
             self.views = tuple(replace(config, ner=ner) for ner in ners)
             self.score_tokens = lambda a, b: ontosim.wbsm(a, b, words)
 
@@ -189,14 +192,16 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
     measures from one :func:`strsim.token_pair_scores` call on its ids, the
     others pair by pair from the table decoded once. Configs often give
     equal tables (22 distinct of the 48 grid configs on the benchmark's
-    string corpus), so the memo maps (measure id, sha256 of the table) to a
+    string corpus), so the memo maps (kernel, sha256 of the table) to a
     matrix row and every config with that table gets the very same row; ids
-    are numbered per call, so the memo lives for one call. ``com`` keeps the
-    row of each of its views and, at the last one, combines them with
-    :func:`ontosim.com`. A measure that reads the ``ner=annotations`` view of
-    a dataset without annotations warns once; the empty-input warning is the
-    caller's, so that it can come after the run's statistics, beside their
-    warnings (:func:`report_rows`).
+    are numbered per call, so the memo lives for one call. The kernel is
+    :attr:`PairScorer.kernel`, so a table that ``wbsm-rada``, ``ubsm-rada``
+    and ``com`` all read is scored once. ``com`` keeps the row of each of its
+    views and, at the last one, combines them with :func:`ontosim.com`. A
+    measure that reads the ``ner=annotations`` view of a dataset without
+    annotations warns once; the empty-input warning is the caller's, so that
+    it can come after the run's statistics, beside their warnings
+    (:func:`report_rows`).
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
@@ -209,7 +214,7 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
     for k, scorer in enumerate(scorers):
         for view in scorer.views:
             readers.setdefault(view, []).append(k)
-    memo: dict[tuple[str, bytes], int] = {}  # (measure id, table sha256) -> row
+    memo: dict[tuple[str, bytes], int] = {}  # (kernel, table sha256) -> row
     rows: list[np.ndarray] = []
     view_rows: dict[int, dict[PreprocessConfig, int]] = {}  # com's rows of the views scored so far
     runs: list[tuple[int, int, int]] = []
@@ -219,14 +224,14 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
         batch = None
         for k in readers[cfg]:
             scorer = scorers[k]
-            row = memo.get((scorer.measure_id, key))
+            row = memo.get((scorer.kernel, key))
             if row is None:
                 if scorer.score_tokens is None:
                     batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
                     rows.append(batch[scorer.measure_id])
                 else:
                     rows.append(_score_pairs(scorer, dataset.name, table.tokens, pairs))
-                row = memo[scorer.measure_id, key] = len(rows) - 1
+                row = memo[scorer.kernel, key] = len(rows) - 1
             if len(scorer.views) > 1:
                 done = view_rows.setdefault(k, {})
                 done[cfg] = row

@@ -10,13 +10,15 @@ Stages run strictly in this order:
 4. character filtering (named, editable resource files)
 5. stop-word removal (named, editable resource files)
 
-The ``treebank-rules`` tokenizer is a self-contained rule engine:
+The ``treebank-rules`` tokenizer is one regular expression,
+:data:`_TREEBANK_RE`, whose matches are the tokens. A token is one of:
 
-* runs of word characters (plus internal hyphens/apostrophes) form tokens
-* any other non-space character becomes its own token
-* abbreviations of the form ``x.`` / ``e.g.`` keep their periods attached
-* a hyphen directly followed by a digit splits the token at that boundary
-  (``miR-146a`` -> ``miR``, ``146a``), the hyphen is dropped
+* an abbreviation of the form ``x.`` / ``e.g.`` standing alone between
+  spaces, periods attached
+* a run of word characters, apostrophes and hyphens; a hyphen directly
+  followed by a digit ends the run and is dropped (``miR-146a`` -> ``miR``,
+  ``146a``)
+* any other non-space character, on its own
 
 Exact parity with external tokenizers is not promised.
 
@@ -81,6 +83,7 @@ def load_stopwords(name: str) -> frozenset[str]:
 
 _RULE_RE = re.compile(r"^s/(\\.|[^/])/(\\.|[^/]*)/$")
 _NON_ALNUM_MARKER = "s/[^alnum]/ /"
+_NON_ALNUM_RE = re.compile(r"[\W_]")  # exactly the characters that str.isalnum() rejects
 
 
 class CharFilter:
@@ -94,7 +97,7 @@ class CharFilter:
 
     def apply(self, token: str) -> str:
         if self._non_alnum:
-            token = "".join(c if c.isalnum() else " " for c in token)
+            token = _NON_ALNUM_RE.sub(" ", token)
         return token.translate(self._table)
 
 
@@ -106,26 +109,27 @@ def _unescape(s: str) -> str:
 def load_char_filter(name: str) -> CharFilter:
     """Load a named character filter resource file.
 
-    Each line is either one character to delete or a replacement rule
-    ``s/FROM/TO/`` (single characters, ``\\/`` escapes a slash). The
-    special rule ``s/[^alnum]/ /`` maps every non-alphanumeric character
-    to a space.
+    Each line is one of:
+
+    * a single character, which is deleted; ``#`` on its own line too
+    * a comment, longer than one character and starting with ``#``, or
+      an empty line, which are skipped
+    * a replacement rule ``s/FROM/TO/`` (single characters, ``\\/``
+      escapes a slash)
+    * the special rule ``s/[^alnum]/ /``, which maps every
+      non-alphanumeric character (``str.isalnum``) to a space
     """
     delete: list[str] = []
     replace: dict[str, str] = {}
     non_alnum = False
     for line in _resource_path("charfilters", name).read_text(encoding="utf-8-sig").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if line == _NON_ALNUM_MARKER:
-            non_alnum = True
-            continue
-        m = _RULE_RE.match(line)
-        if m:
-            replace[_unescape(m.group(1))] = _unescape(m.group(2))
-        elif len(line) == 1:
+        if len(line) == 1:  # before the comment test, so that "#" is a character too
             delete.append(line)
-        else:
+        elif line == _NON_ALNUM_MARKER:
+            non_alnum = True
+        elif m := _RULE_RE.match(line):
+            replace[_unescape(m.group(1))] = _unescape(m.group(2))
+        elif line and not line.startswith("#"):
             raise ConfigError(f"char filter {name!r}: cannot parse line {line!r}")
     return CharFilter(name, "".join(delete), replace, non_alnum)
 
@@ -157,23 +161,7 @@ class PreprocessConfig:
         return f"ner={self.ner},tok={self.tokenizer},lc={lc},cf={self.char_filter},sw={self.stopwords}"
 
 
-_WORD_RE = re.compile(r"[\w−'’-]+|[^\w\s]", re.UNICODE)
-_ABBREV_RE = re.compile(r"^(?:[A-Za-z]\.)+$")
-_HYPHEN_DIGIT_RE = re.compile(r"[-−](?=\d)")
-
-
-def _treebank_tokens(text: str) -> list[str]:
-    tokens: list[str] = []
-    for chunk in text.split():
-        if _ABBREV_RE.match(chunk):
-            tokens.append(chunk)
-            continue
-        for piece in _WORD_RE.findall(chunk):
-            if _HYPHEN_DIGIT_RE.search(piece):
-                tokens.extend(p for p in _HYPHEN_DIGIT_RE.split(piece) if p)
-            else:
-                tokens.append(piece)
-    return tokens
+_TREEBANK_RE = re.compile(r"(?<!\S)(?:[A-Za-z]\.)+(?!\S)|(?:[\w'’]|[-−](?!\d))+|[^\w\s'’−-]")
 
 
 def tokenize(text: str, mode: str) -> TokenSequence:
@@ -181,7 +169,7 @@ def tokenize(text: str, mode: str) -> TokenSequence:
     if mode == "whitespace":
         return tuple(text.split())
     if mode == "treebank-rules":
-        return tuple(_treebank_tokens(text))
+        return tuple(_TREEBANK_RE.findall(text))
     raise ConfigError(f"unknown tokenizer {mode!r}")
 
 

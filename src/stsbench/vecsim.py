@@ -28,9 +28,6 @@ class VectorModel:
     dim: int
     table: dict[str, np.ndarray]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.table
-
 
 def load_vectors(path: str | Path, expected_dim: int | None = None) -> VectorModel:
     """Load a text-format word-vector file.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,29 @@ def levenshtein_dp(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+_WORD_RE = re.compile(r"[\w−'’-]+|[^\w\s]")
+_ABBREV_RE = re.compile(r"^(?:[A-Za-z]\.)+$")
+_HYPHEN_DIGIT_RE = re.compile(r"[-−](?=\d)")
+
+
+def treebank_tokens(text: str) -> list[str]:
+    """The treebank rules applied one whitespace chunk at a time; the oracle
+    of the one-pattern tokenizer. A chunk that is wholly an abbreviation is
+    one token; otherwise it is split into word runs and single symbols, and
+    each run is split again at every hyphen that comes before a digit."""
+    tokens: list[str] = []
+    for chunk in text.split():
+        if _ABBREV_RE.match(chunk):
+            tokens.append(chunk)
+            continue
+        for piece in _WORD_RE.findall(chunk):
+            if _HYPHEN_DIGIT_RE.search(piece):
+                tokens.extend(p for p in _HYPHEN_DIGIT_RE.split(piece) if p)
+            else:
+                tokens.append(piece)
+    return tokens
 
 
 VOCAB = (

@@ -567,6 +567,31 @@ def test_ubsm_and_com_score_their_views_bit_for_bit(tmp_path, rng):
         assert np.array(run.scores).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("annotated, calls, n_rows", [(False, 20, 2), (True, 40, 3)])
+def test_wbsm_measures_score_each_table_once(tmp_path, monkeypatch, annotated, calls, n_rows):
+    # wbsm-rada, ubsm-rada and com share one kernel: without annotations both
+    # views are one table, scored once, and com adds only its combined row
+    from dataclasses import replace
+    from stsbench.core import Annotation, SentencePair
+    tax_path, lex_path = _onto_files(tmp_path)
+    plan, ds = _plan(tmp_path, np.random.default_rng(3), [MeasureSpec(m, [PreprocessConfig()])
+                                                           for m in ("wbsm-rada", "ubsm-rada", "com")],
+                     n_pairs=20, taxonomy=tax_path, lexicon=lex_path)
+    if annotated:
+        ds = Dataset(ds.name, tuple(SentencePair(replace(p.s1, annotations=(Annotation(0, 1, "C0001"),)), p.s2,
+                                                 p.human_score) for p in ds.pairs))
+    scorers = validate_plan(plan)
+    counted = []
+    svs = ontosim.semantic_vector_sim
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the unannotated concept view warns
+        alone = [[run.scores for _, run, _, _ in bench.score_runs([s], ds)[1]] for s in scorers]
+        monkeypatch.setattr(ontosim, "semantic_vector_sim", lambda *a: counted.append(1) or svs(*a))
+        matrix, runs = bench.score_runs(scorers, ds)
+    assert (len(counted), len(matrix)) == (calls, n_rows)
+    assert [[run.scores] for _, run, _, _ in runs] == alone
+
+
 # Templates that make the grid's options matter on ``make_dataset`` text:
 # capitals for lower-casing, punctuation for the tokenizers and char
 # filters (``%`` only for ``cf=biosses``), stop words for the stop-word lists.

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, treebank_tokens
 from stsbench.core import Annotation, RawSentence
 from stsbench.preprocess import (
     OPTIONS,
     ConfigError,
     PreprocessConfig,
+    _resource_path,
     full_grid,
     load_char_filter,
     load_stopwords,
@@ -46,6 +47,27 @@ def test_treebank_rules_hyphen_digit_split():
     assert tokenize("miR-146a", "treebank-rules") == ("miR", "146a")
     # hyphen before a letter stays inside the token
     assert tokenize("wild-type", "treebank-rules") == ("wild-type",)
+
+
+# characters that the treebank rules treat specially, in the ways that a
+# whitespace-chunk rule and a one-pattern rule could disagree on: periods
+# after letters, hyphens and minus signs before Latin and Arabic-Indic
+# digits, both apostrophes, and the spaces that str.split() and \s share
+_TREEBANK_ALPHABET = st.sampled_from(list("aZxeg.-−'’5٣_( \t\n\x85\u3000\x1c"))
+
+
+@given(st.text(st.one_of(_TREEBANK_ALPHABET, st.characters()), max_size=24))
+@example("used e.g. here")
+@example("xe.g.")
+@example("miR-146a")
+@example("--5")
+@example("(-5)")
+@example("a−٣")
+@example("i.e.\x85e.g.")
+@example("a.\u3000b.")
+@settings(max_examples=500, deadline=None)
+def test_treebank_rules_equal_the_chunk_oracle(text):
+    assert tokenize(text, "treebank-rules") == tuple(treebank_tokens(text))
 
 
 def test_tokenize_unknown_mode():
@@ -85,6 +107,17 @@ def test_blagec_filter_non_alnum():
     f = load_char_filter("blagec2019")
     assert f.apply("a+b=c!") == "a b c "
     assert f.apply("abc123") == "abc123"
+    every_code_point = "".join(map(chr, range(0x110000)))
+    assert f.apply(every_code_point) == "".join(c if c.isalnum() else " " for c in every_code_point)
+
+
+@pytest.mark.parametrize("name", OPTIONS["char_filter"][1:])
+def test_char_filter_deletes_every_one_character_line(name):
+    # "#" alone on a line is a character to delete, not a comment
+    f = load_char_filter(name)
+    lines = _resource_path("charfilters", name).read_text(encoding="utf-8-sig").splitlines()
+    for c in [line for line in lines if len(line) == 1]:
+        assert f.apply(f"a{c}b") == "ab", c
 
 
 def test_stopword_removal_case_insensitive():

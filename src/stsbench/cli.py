@@ -137,13 +137,11 @@ def build_plan(args: argparse.Namespace, grid: bool = False) -> BenchmarkPlan:
 
     base = _config_from_items({k: opt(k) for k in OPTIONS if opt(k) is not None})
 
-    grid = grid or _parse_bool(options.get("grid", "no"))
-    specs = []
-    for entry in measure_entries:
-        spec = _parse_measure_entry(entry, base)
-        if grid:
-            spec = MeasureSpec(spec.measure_id, full_grid(ner=base.ner))
-        specs.append(spec)
+    specs = [_parse_measure_entry(entry, base) for entry in measure_entries]
+    if grid or _parse_bool(options.get("grid", "no")):
+        # each entry at its own NER mode, inline or the plan's; one grid per mode
+        grids = {ner: full_grid(ner=ner) for ner in {s.configs[0].ner for s in specs}}
+        specs = [MeasureSpec(s.measure_id, grids[s.configs[0].ner]) for s in specs]
 
     return BenchmarkPlan(
         datasets={k: Path(v) for k, v in datasets.items()},

@@ -261,9 +261,7 @@ class _IdMap:
         grow = len(self._vocab.tokens) - len(self._count)
         self._count = np.concatenate([self._count, np.full(grow, -1, np.int64)])
         self._start = np.concatenate([self._start, np.zeros(grow, np.int64)])
-        present = np.zeros(len(self._count), bool)
-        present[ids] = True
-        new = np.flatnonzero(present & (self._count < 0)).tolist()
+        new = np.unique(ids[self._count[ids] < 0]).tolist()
         outs = [self._fn(self._vocab.tokens[i]) for i in new]
         sizes = np.fromiter(map(len, outs), np.int64, len(outs))
         self._count[new] = sizes
@@ -274,20 +272,12 @@ class _IdMap:
     def __call__(self, table: TokenTable) -> TokenTable:
         self._learn(table.ids)
         count = self._count[table.ids]
-        out_ends = np.cumsum(count)
-        bounds = np.concatenate([[0], out_ends])[np.concatenate([[0], np.cumsum(table.lengths)])]
+        ends = np.cumsum(count)
+        bounds = np.concatenate([[0], ends])[np.concatenate([[0], np.cumsum(table.lengths)])]
         # token k's outputs, targets[start[k]:start[k] + count[k]], go to the
-        # output from out_ends[k] - count[k] on: one gather copies them all. The
-        # table-long index arrays are built in place and freed as soon as they
-        # are used, which keeps the peak memory of pre-processing down.
-        at = self._start[table.ids]
-        at += count
-        at -= out_ends
-        del out_ends
-        at = np.repeat(at, count)
-        del count
-        at += np.arange(len(at))
-        return TokenTable(self._targets[at], np.diff(bounds), self._vocab.tokens)
+        # output from ends[k] - count[k] on: one gather copies them all
+        at = np.repeat(self._start[table.ids] + count - ends, count)
+        return TokenTable(self._targets[at + np.arange(len(at))], np.diff(bounds), self._vocab.tokens)
 
 
 def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessConfig]
@@ -310,9 +300,9 @@ def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessC
         if stage is None:
             return table
         if table is None:  # tokenizing, the first stage, reads the sentences
-            split = [vocab.ids(stage[1](s)) for s in sentences]
+            split = [stage[1](s) for s in sentences]
             lengths = np.fromiter(map(len, split), np.int64, len(split))
-            return TokenTable(np.concatenate([np.empty(0, np.int64), *split]), lengths, vocab.tokens)
+            return TokenTable(vocab.ids(list(itertools.chain.from_iterable(split))), lengths, vocab.tokens)
         if stage[0] not in maps:
             maps[stage[0]] = _IdMap(stage[1], vocab)
         return maps[stage[0]](table)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
 from .core import BenchmarkRun, Dataset
 
@@ -56,8 +56,19 @@ def pearson(x, y) -> float:
 
 
 def average_ranks(x) -> np.ndarray:
-    """1-based ranks with ties assigned their average rank."""
-    return scipy_stats.rankdata(np.asarray(x, dtype=float), method="average")
+    """1-based ranks along the last axis, ties given their average rank, and
+    all nan in a row that holds a nan: ``scipy.stats.rankdata``, bit for bit."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, axis=-1)
+    s = np.take_along_axis(x, order, axis=-1)
+    at = np.arange(s.shape[-1])
+    tie = s == np.roll(s, 1, axis=-1)  # equal to the value before (moot for the first)
+    # where each value's run of equal values starts, in the row and in the reversed row
+    first, rev = (np.maximum.accumulate(np.where(t, 0, at), axis=-1)
+                  for t in (tie, np.roll(tie, -1, axis=-1)[..., ::-1]))
+    ranks = np.empty_like(s)  # mean of positions first + 1 to last + 1, last = len - 1 - rev reversed
+    np.put_along_axis(ranks, order, (first + len(at) + 1 - rev[..., ::-1]) / 2, axis=-1)
+    return np.where(np.isnan(s[..., -1:]), np.nan, ranks)
 
 
 def spearman(x, y) -> float:
@@ -125,8 +136,8 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def row_correlations(scores: np.ndarray, human) -> RowCorrelations:
     """:func:`pearson`, :func:`spearman` and :func:`harmonic` of every row of
     ``scores`` (one row per run, one column per pair) against ``human``, in
-    one pass: row-wise statistics, one ``rankdata`` over the whole matrix and
-    the human ranks once. Each value and error equals what those functions
+    one pass: row-wise statistics, :func:`average_ranks` over the whole matrix
+    and the human ranks once. Each value and error equals what those functions
     give on the row alone."""
     x = np.ascontiguousarray(scores, dtype=float)
     y = np.asarray(human, dtype=float)
@@ -140,7 +151,7 @@ def row_correlations(scores: np.ndarray, human) -> RowCorrelations:
         x = np.where(finite[:, None], x, 0.0)
         y = np.where(np.isfinite(y), y, 0.0)
     r, flat = _pearson_rows(x, y)
-    rho, flat_ranks = _pearson_rows(np.ascontiguousarray(scipy_stats.rankdata(x, axis=1)), average_ranks(y))
+    rho, flat_ranks = _pearson_rows(average_ranks(x), average_ranks(y))
     bad = ~finite | flat | flat_ranks
     errors: list[str | None] = [None] * len(x)
     for i in np.flatnonzero(bad).tolist():
@@ -178,7 +189,7 @@ def paired_ttest_one_sided(sample_a, sample_b) -> float:
         raise DegenerateDataError("paired differences have zero or undefined variance")
     n = len(d)
     t = float(np.mean(d)) / (sd / np.sqrt(n))
-    return float(scipy_stats.t.sf(t, df=n - 1))
+    return float(stdtr(n - 1, -t))  # the t distribution's survival function at t
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,13 @@
 
 The text vector format is one token per line, ``token v1 ... vd``, with an
 optional ``count dim`` header. Out-of-vocabulary tokens are skipped rather
-than zero-imputed; a sentence with no in-vocabulary token pools to None and
-scores 0 against anything.
+than zero-imputed. A sentence with no in-vocabulary token, or none left by
+pre-processing, pools to None and scores 0 against anything, such a sentence
+too: the benchmark reports 0.5 (``rescale_signed``) and warns of nothing.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path

@@ -197,6 +197,31 @@ def test_run_with_swem_rescales_to_unit_interval(tmp_path, rng):
     assert all(0.0 <= s <= 1.0 for s in runs[0].scores)
 
 
+def test_swem_scores_a_sentence_with_no_vector_one_half_without_warning(rng):
+    # a sentence of stop words only, or of tokens with no vector ("zzz"), pools
+    # to nothing, whose cosine is 0, reported as 0.5, even against another such
+    # sentence, where the string measures' empty-input rule gives 1.0
+    import dataclasses
+    from conftest import VOCAB
+    from stsbench.core import RawSentence
+    from stsbench.vecsim import VectorModel
+    ds = make_dataset(rng, 4)
+    pairs = list(ds.pairs)
+    pairs[1] = dataclasses.replace(pairs[1], s1=RawSentence("the of and"))
+    pairs[2] = dataclasses.replace(pairs[2], s1=RawSentence("the of"), s2=RawSentence("and the"))
+    pairs[3] = dataclasses.replace(pairs[3], s1=RawSentence("zzz"))
+    ds = dataclasses.replace(ds, pairs=tuple(pairs))
+    vrng = np.random.default_rng(3)
+    model = VectorModel(8, {w: vrng.normal(size=8) for w in VOCAB})
+    cfg = PreprocessConfig(stopwords="nltk2018")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = score_dataset(PairScorer("swem:mean", cfg, Resources(vectors=model)), ds)
+    assert run.scores[1:] == (0.5, 0.5, 0.5) and run.scores[0] != 0.5
+    with pytest.warns(UserWarning, match="2 pair"):
+        assert score_dataset(PairScorer("block", cfg, Resources()), ds).scores[1:3] == (0.0, 1.0)
+
+
 def test_run_ontology_measures(tmp_path, rng):
     tax_path, lex_path = _onto_files(tmp_path)
     plan, _ = _plan(tmp_path, rng, [
@@ -281,19 +306,33 @@ def test_plan_file_parsing(tmp_path):
     assert len(raw["measures"]) == 2
     assert raw["options"]["lowercase"] == "no"
 
-    parser_args = type("A", (), {})()
-    for k in ("dataset", "annotations", "measure"):
-        setattr(parser_args, k, [])
-    for k in ("plan", "vectors", "taxonomy", "lexicon", "out",
-              "ner", "tokenizer", "lowercase", "char_filter", "stopwords"):
-        setattr(parser_args, k, None)
-    parser_args.plan = str(plan_file)
-    plan = cli.build_plan(parser_args)
+    plan = cli.build_plan(_plan_args(plan_file))
     assert plan.measures[0].configs[0].lowercase is False
     inline = plan.measures[1].configs[0]
     assert inline.char_filter == "default"
     assert inline.stopwords == "nltk2018"
     assert inline.lowercase is False  # inherits the plan-level option
+
+
+def _plan_args(plan_file):
+    """The parsed command line of ``--plan plan_file`` and no other flag."""
+    import argparse
+    return argparse.Namespace(dataset=[], annotations=[], measure=[], plan=str(plan_file), **dict.fromkeys(
+        ("vectors", "taxonomy", "lexicon", "out", "ner", "tokenizer", "lowercase", "char_filter", "stopwords")))
+
+
+def test_grid_sweeps_each_entry_at_its_own_ner_mode(tmp_path):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("grid = yes\nmeasure = block @ ner=annotations\nmeasure = liblock\n"
+                         "measure = jaccard @ lowercase=no\n", encoding="utf-8")
+    block, liblock, jaccard = cli.build_plan(_plan_args(plan_file)).measures
+    assert block.configs == full_grid(ner="annotations")
+    # the other inline fields are swept anyway; entries of one NER mode share its grid
+    assert liblock.configs == full_grid() and jaccard.configs is liblock.configs
+    with open(plan_file, "a", encoding="utf-8") as fh:
+        fh.write("ner = annotations\n")
+    assert {cfg.ner for spec in cli.build_plan(_plan_args(plan_file)).measures for cfg in spec.configs} == {
+        "annotations"}
 
 
 def test_plan_file_with_bom(tmp_path, rng, capsys):

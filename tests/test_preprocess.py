@@ -225,6 +225,10 @@ def test_token_tables_equal_preprocess(extra, picks, seed):
     assert len(vocabs) == 1
     assert sorted(seen, key=grid.index) == seen
     assert set(seen) == set(configs) and len(seen) == len(set(configs))
+    # ids number the tokens in order of first appearance, the tokenized ones first
+    raw = [t for s in sentences for t in preprocess(s, PreprocessConfig(lowercase=False))]
+    [(_, table)] = token_tables(sentences, [PreprocessConfig()])
+    assert table.vocab == list(dict.fromkeys(raw + [t.lower() for t in raw]))
 
 
 def test_token_tables_call_each_stage_once_per_distinct_input(monkeypatch):

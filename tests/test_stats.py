@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,22 @@ def test_average_ranks_ties():
     assert list(average_ranks([10, 20, 30])) == [1, 2, 3]
     assert list(average_ranks([10, 20, 20, 30])) == [1, 2.5, 2.5, 4]
     assert list(average_ranks([5, 5, 5])) == [2, 2, 2]
+
+
+def test_average_ranks_equal_rankdata_bit_for_bit(rng):
+    for _ in range(2000):
+        n = int(rng.integers(0, 25))
+        x = rng.integers(-3, 4, size=n) / 2
+        odd = rng.random(n) < 0.2  # ties with 0.0, infinities and nans
+        x[odd] = rng.choice([-0.0, np.inf, -np.inf, np.nan], size=odd.sum())
+        ranks = average_ranks(x)
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == scipy_stats.rankdata(x).tobytes()
+    m = np.round(rng.random((300, 1068)), 2)
+    m[3], m[4, ::2], m[5, 7], m[6] = 0.0, -0.0, np.nan, np.inf
+    ranks = average_ranks(m)
+    assert ranks.flags.c_contiguous
+    assert ranks.tobytes() == scipy_stats.rankdata(m, axis=1).tobytes()
 
 
 def test_spearman_matches_scipy_with_ties(rng):
@@ -196,6 +213,30 @@ def test_paired_ttest_against_numeric_oracle(rng):
         t = d.mean() / (d.std(ddof=1) / math.sqrt(n))
         tail, _ = integrate.quad(t_pdf, t, np.inf, args=(n - 1,))
         assert paired_ttest_one_sided(a, b) == pytest.approx(tail, abs=1e-8)
+
+
+def test_paired_ttest_equals_t_sf_bit_for_bit(rng):
+    for _ in range(500):
+        n = int(rng.integers(2, 40))
+        a, b = rng.normal(0.1, 1.0, size=n), rng.normal(0.0, 1.0, size=n)
+        if rng.random() < 0.1:  # a huge |t|, whose tail underflows or saturates
+            b = a - rng.choice([-1.0, 1.0]) * (1.0 + 1e-12 * rng.random(n))
+        d = a - b
+        t = float(np.mean(d)) / (float(np.std(d, ddof=1)) / np.sqrt(n))
+        assert paired_ttest_one_sided(a, b) == float(scipy_stats.t.sf(t, df=n - 1))
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    import os
+    import subprocess
+    import sys
+    import stsbench
+    src = str(Path(stsbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, stsbench.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.strip() == "False"
 
 
 def test_paired_ttest_degenerate():

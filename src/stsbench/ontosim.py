@@ -13,7 +13,9 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from .strsim import EmptyInputError
+
+class EmptyInputError(ValueError):
+    """A semantic vector was asked of an empty word set."""
 
 
 class TaxonomyError(ValueError):

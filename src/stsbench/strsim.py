@@ -1,131 +1,28 @@
 """String-based sentence similarity measures over pre-processed token sequences.
 
-All measures are symmetric and return values in [0, 1]. A kernel raises
-:class:`EmptyInputError` where it is undefined on empty operands.
+All measures are symmetric and return values in [0, 1], and none raises on
+empty input: an empty token sequence scores 0.0 against a non-empty one and
+1.0 against an empty one.
 
 :func:`token_pair_scores` scores the five token measures (block, liblock,
-jaccard, overlap and token q-gram) for every pair of a token table at once,
-bit for bit as the per-pair kernels score them. It reads the table as token
-ids (as :func:`stsbench.preprocess.token_tables` builds it) and takes each
-pair's counts as row sums over sparse token and trigram count matrices.
-It applies the empty-input rule as a mask: an empty sequence scores 0.0
-against a non-empty one and 1.0 against an empty one, as ``levenshtein_sim``
-and the kernels that do not raise already score.
+jaccard, overlap and token q-gram) for every pair of a token table at once.
+It reads the table as token ids (as :func:`stsbench.preprocess.token_tables`
+builds it), matches each pair's sorted token and trigram keys and applies
+the empty-input rule as a mask. :func:`pair_scores` scores one pair of token
+sequences the same way. Levenshtein is scored pair by pair.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 
-class EmptyInputError(ValueError):
-    """A measure was applied to an empty token sequence or word set."""
-
-
-def token_profile(tokens: Sequence[str]) -> Counter:
-    """Token -> frequency map; total mass equals the sequence length."""
-    return Counter(tokens)
-
-
-def block_distance_sim(s1: Sequence[str], s2: Sequence[str]) -> float:
-    """City-block distance between frequency profiles, as a similarity.
-
-    1 - sum_w |fr(w, s1) - fr(w, s2)| / sum_w fr(w, s1 + s2) over the joint
-    dictionary of both sentences.
-    """
-    if not s1 or not s2:
-        raise EmptyInputError("block distance requires non-empty sequences")
-    p1, p2 = token_profile(s1), token_profile(s2)
-    diff = sum(abs(p1[w] - p2[w]) for w in p1.keys() | p2.keys())
-    return 1.0 - diff / (len(s1) + len(s2))
-
-
-def li_adapted_sim(set1: Iterable[str], set2: Iterable[str]) -> float:
-    """Cosine of the binary indicator vectors of two word sets.
-
-    Equals |S1 & S2| / sqrt(|S1| * |S2|), clamped to 1, which rounding
-    exceeds for some equal sets (sqrt(3) * sqrt(3) < 3).
-    """
-    set1, set2 = set(set1), set(set2)
-    if not set1 or not set2:
-        raise EmptyInputError("word sets must be non-empty")
-    # norms multiplied separately so the result is bit-identical to an
-    # explicit binary-vector cosine over the joint dictionary
-    return min(1.0, len(set1 & set2) / (math.sqrt(len(set1)) * math.sqrt(len(set2))))
-
-
-def liblock_sim(s1: Sequence[str], s2: Sequence[str]) -> float:
-    """Aggregated measure: mean of block-distance and binary-cosine scores.
-
-    Falls back to the block-distance score alone when the word sets are
-    disjoint. The set score ignores repeats; the block score does not.
-    """
-    block = block_distance_sim(s1, s2)
-    liad = li_adapted_sim(set(s1), set(s2))
-    if liad == 0.0:
-        return block
-    return 0.5 * block + 0.5 * liad
-
-
-def jaccard_sim(set1: Iterable[str], set2: Iterable[str]) -> float:
-    """|S1 & S2| / |S1 | S2|."""
-    set1, set2 = set(set1), set(set2)
-    if not set1 and not set2:
-        raise EmptyInputError("both word sets are empty")
-    return len(set1 & set2) / len(set1 | set2)
-
-
-def _shingles(tokens: Sequence[str], q: int) -> Counter:
-    if len(tokens) < q:
-        return Counter([tuple(tokens)]) if tokens else Counter()
-    return Counter(tuple(tokens[i : i + q]) for i in range(len(tokens) - q + 1))
-
-
-def qgram_sim(s1: Sequence[str], s2: Sequence[str], q: int = 3, unit: str = "token") -> float:
-    """Dice coefficient over multisets of q-gram shingles.
-
-    Shingles are q-token windows by default; ``unit="char"`` shingles the
-    space-joined character string instead. Sequences shorter than q
-    contribute one shingle of their full length.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if unit == "char":
-        s1, s2 = tuple(" ".join(s1)), tuple(" ".join(s2))
-    elif unit != "token":
-        raise ValueError(f"unit must be 'token' or 'char', got {unit!r}")
-    q1, q2 = _shingles(s1, q), _shingles(s2, q)
-    total = sum(q1.values()) + sum(q2.values())
-    if total == 0:
-        raise EmptyInputError("no shingles on either side")
-    inter = sum(min(q1[s], q2[s]) for s in q1.keys() & q2.keys())
-    return 2.0 * inter / total
-
-
-def overlap_sim(set1: Iterable[str], set2: Iterable[str]) -> float:
-    """|S1 & S2| / min(|S1|, |S2|)."""
-    set1, set2 = set(set1), set(set2)
-    if not set1 or not set2:
-        raise EmptyInputError("word sets must be non-empty")
-    return len(set1 & set2) / min(len(set1), len(set2))
-
-
-def _count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> csr_array:
-    """CSR matrix whose (r, c) entry counts the occurrences of (r, c) in ``zip(rows, cols)``,
-    built from sorted keys, so each row's columns are sorted and distinct."""
-    keys, counts = np.unique(rows * shape[1] + cols, return_counts=True)
-    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
-    return csr_array((counts, keys % shape[1], indptr), shape=shape)
-
-
-def _trigram_counts(ids: np.ndarray, rows: np.ndarray, lengths: np.ndarray, pad: int) -> csr_array:
-    """Count matrix of each sequence's token trigrams; ``ids[k]`` is a token of
-    sequence ``rows[k]``, sequences being consecutive and ``lengths`` long.
+def _trigrams(ids: np.ndarray, rows: np.ndarray, lengths: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's token trigrams as ``(sequence, trigram id)`` arrays;
+    ``ids[k]`` is a token of sequence ``rows[k]``, sequences being consecutive
+    and ``lengths`` long.
 
     A sequence of L >= 3 tokens has L - 2 trigrams, and one of 1 or 2 tokens
     one shingle padded with ``pad``, an id no token has. Trigrams are keyed
@@ -140,8 +37,33 @@ def _trigram_counts(ids: np.ndarray, rows: np.ndarray, lengths: np.ndarray, pad:
     opens = in_sequence < np.maximum(lengths - 2, np.minimum(lengths, 1))[rows]
     at, width = place[opens], pad + 1
     bigram = np.unique(padded[at] * width + padded[at + 1], return_inverse=True)[1]
-    trigram = np.unique(bigram * width + padded[at + 2], return_inverse=True)[1]
-    return _count_matrix(rows[opens], trigram, (len(lengths), int(trigram.max(initial=-1)) + 1))
+    return rows[opens], np.unique(bigram * width + padded[at + 2], return_inverse=True)[1]
+
+
+def _shared(rows: np.ndarray, keys: np.ndarray, n_rows: int, left: np.ndarray, right: np.ndarray):
+    """Each sequence's number of distinct keys, and for each pair ``(left[p],
+    right[p])`` the number of distinct keys both sequences hold and the sum
+    over them of the smaller count; ``keys[k]`` is a key of sequence ``rows[k]``.
+
+    Each sequence's keys are sorted and counted once; a pair's keys are
+    numbered by pair, so one sorted intersection matches every pair at once.
+    """
+    width = int(keys.max(initial=-1)) + 1
+    distinct, counts = np.unique(rows * width + keys, return_counts=True)
+    start = np.searchsorted(distinct, np.arange(n_rows + 1) * width)
+
+    def side(seqs):
+        size = start[seqs + 1] - start[seqs]
+        pair = np.repeat(np.arange(len(seqs)), size)
+        at = np.arange(size.sum()) + np.repeat(start[seqs] - (np.cumsum(size) - size), size)
+        return pair, distinct[at] % width + pair * width, counts[at]
+
+    pair, k1, c1 = side(left)
+    _, k2, c2 = side(right)
+    _, i, j = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
+    # the weighted sums are float64, exact for integer counts below 2**53
+    return (np.diff(start), np.bincount(pair[i], minlength=len(left)),
+            np.bincount(pair[i], np.minimum(c1[i], c2[j]), len(left)))
 
 
 def token_pair_scores(ids: np.ndarray, lengths: np.ndarray, vocab_size: int, pairs) -> dict[str, np.ndarray]:
@@ -153,25 +75,25 @@ def token_pair_scores(ids: np.ndarray, lengths: np.ndarray, vocab_size: int, pai
     ids of ``ids``, each id in ``range(vocab_size)``. Two sequences hold the
     same token exactly where they hold the same id; the numbering is free.
 
-    Each score equals the per-pair kernel's bit for bit on the decoded
-    tokens: the float arithmetic is the kernel's, and only the integer counts
-    it takes from ``Counter``s, sets and shingles come from sparse row sums
-    instead, over ``counts`` (of each token per sequence), its 0/1 twin
-    ``words`` and ``shingles`` (of each token trigram per sequence).
+    Over the token frequency profiles p1, p2 of a pair of lengths n1, n2:
+    block is 1 - sum_w |p1(w) - p2(w)| / (n1 + n2), the sum being
+    n1 + n2 - 2 sum_w min(p1(w), p2(w)); liad is the cosine of the binary
+    word vectors, |S1 & S2| / sqrt(|S1| |S2|) clamped to 1, which rounding
+    exceeds for some equal sets (sqrt(3) * sqrt(3) < 3); liblock is the
+    mean of block and liad, or block alone where the word sets are disjoint;
+    jaccard is |S1 & S2| / |S1 | S2| and overlap |S1 & S2| / min(|S1|, |S2|);
+    qgram is the Dice coefficient over the multisets of token trigrams.
     """
     rows = np.repeat(np.arange(len(lengths)), lengths)
-    counts = _count_matrix(rows, ids, (len(lengths), vocab_size))
-    words = csr_array((np.ones_like(counts.data), counts.indices, counts.indptr), shape=counts.shape)
-    shingles = _trigram_counts(ids, rows, lengths, pad=vocab_size)
-    distinct, n_shingles = np.diff(words.indptr), shingles.sum(axis=1)
-
     left, right = np.asarray(pairs, np.intp).reshape(-1, 2).T
+    distinct, inter, common = _shared(rows, ids, len(lengths), left, right)
+    shingle_rows, trigrams = _trigrams(ids, rows, lengths, pad=vocab_size)
+    _, _, q_inter = _shared(shingle_rows, trigrams, len(lengths), left, right)
+    n_shingles = np.bincount(shingle_rows, minlength=len(lengths))
+
     n1, n2, u1, u2 = lengths[left], lengths[right], distinct[left], distinct[right]
-    diff = abs(counts[left] - counts[right]).sum(axis=1)
-    inter = words[left].multiply(words[right]).sum(axis=1)
-    q_inter = shingles[left].minimum(shingles[right]).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        block = 1.0 - diff / (n1 + n2)
+        block = 1.0 - (n1 + n2 - 2 * common) / (n1 + n2)
         liad = np.minimum(1.0, inter / (np.sqrt(u1) * np.sqrt(u2)))
         scores = {
             "block": block,
@@ -183,6 +105,15 @@ def token_pair_scores(ids: np.ndarray, lengths: np.ndarray, vocab_size: int, pai
     empty = (n1 == 0) | (n2 == 0)
     both = ((n1 == 0) & (n2 == 0)).astype(np.float64)
     return {m: np.where(empty, both, s) for m, s in scores.items()}
+
+
+def pair_scores(s1: Sequence[str], s2: Sequence[str]) -> dict[str, float]:
+    """The five token measures of one pair of token sequences, as
+    :func:`token_pair_scores` scores them."""
+    index: dict[str, int] = {}
+    ids = np.array([index.setdefault(t, len(index)) for t in (*s1, *s2)], np.int64)
+    scores = token_pair_scores(ids, np.array([len(s1), len(s2)], np.int64), len(index), [(0, 1)])
+    return {m: float(s[0]) for m, s in scores.items()}
 
 
 def levenshtein_distance(a: str, b: str) -> int:

@@ -1,4 +1,6 @@
+import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,6 +40,64 @@ def levenshtein_dp(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+# The per-pair token kernels: the oracles of strsim.token_pair_scores, which
+# scores them bit for bit. Each is defined on non-empty operands only.
+
+def token_profile(tokens) -> Counter:
+    """Token -> frequency map; total mass equals the sequence length."""
+    return Counter(tokens)
+
+
+def block_distance_sim(s1, s2) -> float:
+    """1 - sum_w |fr(w, s1) - fr(w, s2)| / sum_w fr(w, s1 + s2) over the joint dictionary."""
+    p1, p2 = token_profile(s1), token_profile(s2)
+    diff = sum(abs(p1[w] - p2[w]) for w in p1.keys() | p2.keys())
+    return 1.0 - diff / (len(s1) + len(s2))
+
+
+def li_adapted_sim(set1, set2) -> float:
+    """Cosine of the binary indicator vectors of two word sets, clamped to 1."""
+    set1, set2 = set(set1), set(set2)
+    # norms multiplied separately so the result is bit-identical to an
+    # explicit binary-vector cosine over the joint dictionary
+    return min(1.0, len(set1 & set2) / (math.sqrt(len(set1)) * math.sqrt(len(set2))))
+
+
+def liblock_sim(s1, s2) -> float:
+    """Mean of the block and binary-cosine scores; block alone on disjoint word sets."""
+    block = block_distance_sim(s1, s2)
+    liad = li_adapted_sim(s1, s2)
+    if liad == 0.0:
+        return block
+    return 0.5 * block + 0.5 * liad
+
+
+def jaccard_sim(set1, set2) -> float:
+    """|S1 & S2| / |S1 | S2|."""
+    set1, set2 = set(set1), set(set2)
+    return len(set1 & set2) / len(set1 | set2)
+
+
+def _shingles(tokens) -> Counter:
+    """Token trigrams; a sequence of 1 or 2 tokens is one shingle of its full length."""
+    if len(tokens) < 3:
+        return Counter([tuple(tokens)]) if tokens else Counter()
+    return Counter(tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2))
+
+
+def qgram_sim(s1, s2) -> float:
+    """Dice coefficient over the multisets of token trigram shingles."""
+    q1, q2 = _shingles(s1), _shingles(s2)
+    inter = sum(min(q1[s], q2[s]) for s in q1.keys() & q2.keys())
+    return 2.0 * inter / (sum(q1.values()) + sum(q2.values()))
+
+
+def overlap_sim(set1, set2) -> float:
+    """|S1 & S2| / min(|S1|, |S2|)."""
+    set1, set2 = set(set1), set(set2)
+    return len(set1 & set2) / min(len(set1), len(set2))
 
 
 _WORD_RE = re.compile(r"[\w−'’-]+|[^\w\s]")
@@ -85,6 +145,13 @@ def id_table(table, vocab) -> tuple[np.ndarray, np.ndarray, int]:
     index = {t: i for i, t in enumerate(vocab)}
     ids = np.array([index[t] for seq in table for t in seq], np.int64)
     return ids, np.array([len(seq) for seq in table], np.int64), len(vocab)
+
+
+def pairs_table(pairs) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray]:
+    """Pairs of sequences of ``VOCAB`` tokens as one id table, pair i being
+    sequences 2i and 2i + 1, and its (n, 2) pair index."""
+    table = [s for pair in pairs for s in pair]
+    return id_table(table, VOCAB), np.arange(len(table)).reshape(-1, 2)
 
 
 def make_dataset(rng: np.random.Generator, n_pairs: int, name: str = "synthetic") -> Dataset:

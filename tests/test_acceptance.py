@@ -17,8 +17,12 @@ from scipy.stats import norm
 
 from conftest import (
     VOCAB,
+    block_distance_sim,
     exact_match_sim,
+    li_adapted_sim,
+    liblock_sim,
     make_dataset,
+    pairs_table,
     random_dag,
     random_tokens,
     spearman_closed_form,
@@ -37,15 +41,7 @@ from stsbench.stats import (
     spearman,
     uniform_split,
 )
-from stsbench.strsim import (
-    block_distance_sim,
-    jaccard_sim,
-    levenshtein_sim,
-    li_adapted_sim,
-    liblock_sim,
-    overlap_sim,
-    qgram_sim,
-)
+from stsbench.strsim import levenshtein_sim, pair_scores, token_pair_scores
 from test_stats import naive_pearson
 from test_strsim import EXAMPLE_S1, EXAMPLE_S2
 
@@ -63,8 +59,11 @@ def test_criterion_1_worked_example():
     block = block_distance_sim(EXAMPLE_S1, EXAMPLE_S2)
     libk = liblock_sim(EXAMPLE_S1, EXAMPLE_S2)
     elapsed = time.perf_counter() - start
+    # the program's kernel scores the example as the timed per-pair oracles do
+    scores = pair_scores(EXAMPLE_S1, EXAMPLE_S2)
     ok = (abs(liad - 0.471) <= 5e-4 and abs(block - 0.444) <= 5e-4
-          and abs(libk - 0.458) <= 5e-4 and elapsed < 1e-3)
+          and abs(libk - 0.458) <= 5e-4 and elapsed < 1e-3
+          and (scores["block"], scores["liblock"]) == (block, libk))
     _report("criterion 1 (worked example)",
             ok, f"liad={liad:.4f} block={block:.4f} libk={libk:.4f} in {elapsed*1e6:.0f}us")
 
@@ -122,33 +121,38 @@ def onto_setup():
 
 def test_criterion_4_measure_properties(rng, onto_setup):
     rada, jc = onto_setup
-    measures = {
-        "block": lambda a, b: block_distance_sim(a, b),
-        "liblock": lambda a, b: liblock_sim(a, b),
-        "jaccard": lambda a, b: jaccard_sim(set(a), set(b)),
-        "overlap": lambda a, b: overlap_sim(set(a), set(b)),
-        "qgram": lambda a, b: qgram_sim(a, b),
+    checks = 10_000
+    pairs = [(random_tokens(rng, 1, 8), random_tokens(rng, 1, 8)) for _ in range(checks)]
+    # the five token measures, each over all pairs at once
+    table, index = pairs_table(pairs)
+    forward = token_pair_scores(*table, index)
+    backward = token_pair_scores(*table, index[:, ::-1])
+    itself = token_pair_scores(*table, index[:, [0, 0]])
+    for name, v in forward.items():
+        for what, bad in (("out of range", ~((0.0 <= v) & (v <= 1.0))), ("asymmetric", v != backward[name]),
+                          ("self-sim != 1", np.abs(itself[name] - 1.0) > 1e-12)):
+            assert not bad.any(), f"{name} {what} on {pairs[np.argmax(bad)]}"
+    per_pair = {
         "levenshtein": lambda a, b: levenshtein_sim(a, b),
         "wbsm": lambda a, b: wbsm(a, b, rada),
         "ubsm": lambda a, b: wbsm(a, b, jc),
         "com": lambda a, b: com(wbsm(a, b, rada), wbsm(a, b, jc)),
     }
-    checks = 10_000
-    for name, m in measures.items():
-        for i in range(checks):
-            s1, s2 = random_tokens(rng, 1, 8), random_tokens(rng, 1, 8)
+    for name, m in per_pair.items():
+        for i, (s1, s2) in enumerate(pairs):
             v = m(s1, s2)
             assert 0.0 <= v <= 1.0, f"{name} out of range on {s1} {s2}"
             assert v == m(s2, s1), f"{name} asymmetric on {s1} {s2}"
             if i % 10 == 0:
                 assert abs(m(s1, s1) - 1.0) <= 1e-12, f"{name} self-sim != 1"
     # branch consistency: disjoint vocabularies collapse LiBlock to Block
-    for _ in range(1000):
-        s1 = tuple(rng.choice(VOCAB[:15], size=rng.integers(1, 8)))
-        s2 = tuple(rng.choice(VOCAB[15:], size=rng.integers(1, 8)))
-        assert liblock_sim(s1, s2) == block_distance_sim(s1, s2)
+    disjoint = [(tuple(rng.choice(VOCAB[:15], size=rng.integers(1, 8))),
+                 tuple(rng.choice(VOCAB[15:], size=rng.integers(1, 8)))) for _ in range(1000)]
+    table, index = pairs_table(disjoint)
+    scores = token_pair_scores(*table, index)
+    assert np.array_equal(scores["liblock"], scores["block"])
     _report("criterion 4 (measure properties)", True,
-            f"{checks} checks x {len(measures)} measures, branch consistency exact")
+            f"{checks} checks x {len(forward) + len(per_pair)} measures, branch consistency exact")
 
 
 def test_criterion_5_taxonomy_oracle(rng):

@@ -27,7 +27,7 @@ from stsbench.core import Dataset, read_raw_scores, write_dataset
 from stsbench.ontosim import Taxonomy
 from stsbench.preprocess import PreprocessConfig, full_grid, preprocess
 from stsbench.stats import harmonic, uniform_split
-from stsbench.strsim import liblock_sim
+from stsbench.strsim import pair_scores
 
 
 def test_known_measure():
@@ -43,7 +43,7 @@ def test_scorer_matches_direct_composition(rng):
     ds = make_dataset(rng, 20)
     cfg = PreprocessConfig(char_filter="default", stopwords="nltk2018")
     scorer = PairScorer("liblock", cfg, Resources())
-    expected = tuple(liblock_sim(preprocess(pair.s1, cfg), preprocess(pair.s2, cfg)) for pair in ds.pairs)
+    expected = tuple(pair_scores(preprocess(pair.s1, cfg), preprocess(pair.s2, cfg))["liblock"] for pair in ds.pairs)
     assert score_dataset(scorer, ds).scores == expected
 
 

@@ -5,8 +5,9 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from conftest import exact_match_sim, random_dag
+from conftest import exact_match_sim, li_adapted_sim, random_dag
 from stsbench.ontosim import (
+    EmptyInputError,
     Taxonomy,
     TaxonomyError,
     WordSimMeasure,
@@ -16,7 +17,6 @@ from stsbench.ontosim import (
     semantic_vector_sim,
     wbsm,
 )
-from stsbench.strsim import EmptyInputError, li_adapted_sim
 
 #        root
 #       /    \

@@ -6,20 +6,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import VOCAB, id_table, levenshtein_dp, random_tokens
-from stsbench.strsim import (
-    EmptyInputError,
+from conftest import (
+    VOCAB,
     block_distance_sim,
+    exact_match_sim,
+    id_table,
     jaccard_sim,
-    levenshtein_distance,
-    levenshtein_sim,
+    levenshtein_dp,
     li_adapted_sim,
     liblock_sim,
     overlap_sim,
+    pairs_table,
     qgram_sim,
-    token_pair_scores,
+    random_tokens,
     token_profile,
 )
+from stsbench.ontosim import EmptyInputError, semantic_vector_sim
+from stsbench.strsim import levenshtein_distance, levenshtein_sim, pair_scores, token_pair_scores
 
 EXAMPLE_S1 = ("c0280089", "formation", "mice", "oncogenic", "c1537502",
           "requires", "formation", "craf", "c0812241")
@@ -64,9 +67,10 @@ def test_token_profile():
 
 
 def test_worked_example_values():
+    scores = pair_scores(EXAMPLE_S1, EXAMPLE_S2)
     assert li_adapted_sim(set(EXAMPLE_S1), set(EXAMPLE_S2)) == pytest.approx(0.471, abs=5e-4)
-    assert block_distance_sim(EXAMPLE_S1, EXAMPLE_S2) == pytest.approx(0.444, abs=5e-4)
-    assert liblock_sim(EXAMPLE_S1, EXAMPLE_S2) == pytest.approx(0.458, abs=5e-4)
+    assert scores["block"] == pytest.approx(0.444, abs=5e-4)
+    assert scores["liblock"] == pytest.approx(0.458, abs=5e-4)
 
 
 def test_block_against_oracle(rng):
@@ -87,55 +91,45 @@ def test_li_adapted_equal_sets_is_one():
         words = {f"w{i}" for i in range(n)}
         assert n / (math.sqrt(n) * math.sqrt(n)) > 1.0
         assert li_adapted_sim(words, set(words)) == 1.0
-    s1, s2 = ("a", "b", "c", "a"), ("a", "b", "c")
-    assert liblock_sim(s1, s2) == 0.5 * block_distance_sim(s1, s2) + 0.5
+    scores = pair_scores(("a", "b", "c", "a"), ("a", "b", "c"))
+    assert scores["liblock"] == 0.5 * scores["block"] + 0.5
 
 
 def test_liblock_branches():
     # disjoint vocabularies: falls back to the block score alone
-    s1, s2 = ("a", "b"), ("c", "d")
-    assert liblock_sim(s1, s2) == block_distance_sim(s1, s2) == 0.0
-    s1, s2 = ("a", "b"), ("c", "d", "c")
-    assert liblock_sim(s1, s2) == block_distance_sim(s1, s2)
+    scores = pair_scores(("a", "b"), ("c", "d"))
+    assert scores["liblock"] == scores["block"] == 0.0
+    scores = pair_scores(("a", "b"), ("c", "d", "c"))
+    assert scores["liblock"] == scores["block"]
     # overlapping vocabularies: exact mean of the two component scores
-    assert liblock_sim(EXAMPLE_S1, EXAMPLE_S2) == 0.5 * block_distance_sim(EXAMPLE_S1, EXAMPLE_S2) \
-        + 0.5 * li_adapted_sim(set(EXAMPLE_S1), set(EXAMPLE_S2))
+    scores = pair_scores(EXAMPLE_S1, EXAMPLE_S2)
+    assert scores["liblock"] == 0.5 * scores["block"] + 0.5 * li_adapted_sim(set(EXAMPLE_S1), set(EXAMPLE_S2))
 
 
 def test_jaccard():
-    assert jaccard_sim({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
-    assert jaccard_sim({"a"}, set()) == 0.0
-    assert jaccard_sim(set(), {"a"}) == 0.0
+    assert pair_scores(("a", "b"), ("b", "c"))["jaccard"] == pytest.approx(1 / 3)
+    assert pair_scores(("a",), ())["jaccard"] == 0.0
+    assert pair_scores((), ("a",))["jaccard"] == 0.0
 
 
 def test_overlap():
-    assert overlap_sim({"a", "b", "c"}, {"b", "c"}) == 1.0
-    assert overlap_sim({"a", "b"}, {"b", "c", "d"}) == pytest.approx(0.5)
+    assert pair_scores(("a", "b", "c"), ("b", "c"))["overlap"] == 1.0
+    assert pair_scores(("a", "b"), ("b", "c", "d"))["overlap"] == pytest.approx(0.5)
 
 
 def test_qgram_token_level():
     s = ("a", "b", "c", "d")
-    assert qgram_sim(s, s) == 1.0
+    assert pair_scores(s, s)["qgram"] == 1.0
     # shingles of (a b c d) vs (a b c e): {abc, bcd} vs {abc, bce}
-    assert qgram_sim(s, ("a", "b", "c", "e")) == pytest.approx(0.5)
+    assert pair_scores(s, ("a", "b", "c", "e"))["qgram"] == pytest.approx(0.5)
 
 
 def test_qgram_short_sequences():
-    # shorter than q: the whole sequence is the single shingle
-    assert qgram_sim(("a", "b"), ("a", "b")) == 1.0
-    assert qgram_sim(("a",), ("b",)) == 0.0
-
-
-def test_qgram_char_unit():
-    assert qgram_sim(("abcd",), ("abcd",), unit="char") == 1.0
-    assert qgram_sim(("night",), ("nacht",), q=2, unit="char") == pytest.approx(0.25)
-
-
-def test_qgram_validation():
-    with pytest.raises(ValueError):
-        qgram_sim(("a",), ("b",), q=0)
-    with pytest.raises(ValueError):
-        qgram_sim(("a",), ("b",), unit="word")
+    # shorter than 3 tokens: the whole sequence is the single shingle
+    assert pair_scores(("a", "b"), ("a", "b"))["qgram"] == 1.0
+    assert pair_scores(("a",), ("b",))["qgram"] == 0.0
+    # a padded shingle never equals a trigram
+    assert pair_scores(("a", "b"), ("a", "b", "a"))["qgram"] == 0.0
 
 
 def test_levenshtein_distance_known_values():
@@ -180,18 +174,13 @@ def test_levenshtein_sim():
 
 
 def test_empty_input_errors():
+    # no string measure raises on empty input: each scores it by the rule
+    for s1, s2, want in (((), ("a",), 0.0), (("a", "b"), (), 0.0), ((), (), 1.0)):
+        assert set(pair_scores(s1, s2).values()) == {want}
+        assert levenshtein_sim(s1, s2) == want
+    # the one measure left that raises is the ontology's semantic vector
     with pytest.raises(EmptyInputError):
-        block_distance_sim((), ("a",))
-    with pytest.raises(EmptyInputError):
-        li_adapted_sim(set(), {"a"})
-    with pytest.raises(EmptyInputError):
-        jaccard_sim(set(), set())
-    with pytest.raises(EmptyInputError):
-        overlap_sim(set(), {"a"})
-    with pytest.raises(EmptyInputError):
-        qgram_sim((), ())
-    with pytest.raises(EmptyInputError):
-        liblock_sim((), ())
+        semantic_vector_sim(set(), {"a"}, exact_match_sim)
 
 
 def test_empty_rule_reproduces_non_raising_kernels():
@@ -231,19 +220,39 @@ def test_token_pair_scores_equal_the_kernels_bit_for_bit(table, vocab):
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (measure, table[i], table[j])
 
 
+@settings(max_examples=300, deadline=None)
+@given(s1=st.lists(st.sampled_from(_TOKENS), max_size=7).map(tuple),
+       s2=st.lists(st.sampled_from(_TOKENS), max_size=7).map(tuple))
+@example(s1=(), s2=())
+@example(s1=(), s2=("a",))
+@example(s1=("a", "b", "a", "a"), s2=("b", "a"))
+def test_pair_scores_equal_the_kernels_bit_for_bit(s1, s2):
+    scores = pair_scores(s1, s2)
+    assert scores.keys() == TOKEN_KERNELS.keys()
+    for measure, kernel in TOKEN_KERNELS.items():
+        assert type(scores[measure]) is float
+        want = by_empty_rule(kernel, s1, s2)
+        assert np.float64(scores[measure]).tobytes() == np.float64(want).tobytes(), (measure, s1, s2)
+
+
+def test_token_pair_scores_without_pairs():
+    scores = token_pair_scores(*id_table([("a",), ()], ["a"]), [])
+    assert scores.keys() == TOKEN_KERNELS.keys()
+    assert all(v.dtype == np.float64 and v.shape == (0,) for v in scores.values())
+
+
 def test_randomized_properties(rng):
-    measures = (
-        lambda a, b: block_distance_sim(a, b),
-        lambda a, b: liblock_sim(a, b),
-        lambda a, b: jaccard_sim(set(a), set(b)),
-        lambda a, b: overlap_sim(set(a), set(b)),
-        lambda a, b: qgram_sim(a, b),
-        lambda a, b: levenshtein_sim(a, b),
-    )
-    for _ in range(500):
-        s1, s2 = random_tokens(rng), random_tokens(rng)
-        for m in measures:
-            v = m(s1, s2)
-            assert 0.0 <= v <= 1.0
-            assert v == m(s2, s1)
-            assert m(s1, s1) == pytest.approx(1.0, abs=1e-12)
+    pairs = [(random_tokens(rng), random_tokens(rng)) for _ in range(500)]
+    table, index = pairs_table(pairs)
+    forward = token_pair_scores(*table, index)
+    backward = token_pair_scores(*table, index[:, ::-1])
+    itself = token_pair_scores(*table, index[:, [0, 0]])
+    for m, v in forward.items():
+        assert ((0.0 <= v) & (v <= 1.0)).all(), m
+        assert np.array_equal(v, backward[m]), m
+        assert np.abs(itself[m] - 1.0).max() <= 1e-12, m
+    for s1, s2 in pairs:
+        v = levenshtein_sim(s1, s2)
+        assert 0.0 <= v <= 1.0
+        assert v == levenshtein_sim(s2, s1)
+        assert levenshtein_sim(s1, s1) == pytest.approx(1.0, abs=1e-12)

@@ -36,17 +36,17 @@ class ScoringError(RuntimeError):
     """A measure failed on a pair; the message names the measure, pair and dataset."""
 
 
-# measure id -> (family, how it is computed). "string": the kernel's name in
-# ``strsim``, looked up when a scorer is built so that a kernel replaced on the
-# module (by a profiler, say) is the one called, or None for the five token
-# measures that ``strsim.token_pair_scores`` scores for all pairs of a table at
-# once. "ontology": the word-similarity kind and the NER modes of the token
-# views it reads; UBSM is WBSM over the concept-substituted view, COM averages
-# the two. "swem": the pooling mode.
+# measure id -> (family, how it is computed). "string": what ``score_runs``
+# hands the kernel that scores all pairs of a table at once, "ids" for the five
+# token measures of ``strsim.token_pair_scores`` and "text" (each sentence's
+# tokens joined by spaces) for ``strsim.levenshtein_pair_scores``.
+# "ontology": the word-similarity kind and the NER modes of the token views it
+# reads; UBSM is WBSM over the concept-substituted view, COM averages the two.
+# "swem": the pooling mode.
 MEASURES = {
-    "qgram": ("string", None), "jaccard": ("string", None),
-    "block": ("string", None), "liblock": ("string", None),
-    "levenshtein": ("string", "levenshtein_sim"), "overlap": ("string", None),
+    "qgram": ("string", "ids"), "jaccard": ("string", "ids"),
+    "block": ("string", "ids"), "liblock": ("string", "ids"),
+    "levenshtein": ("string", "text"), "overlap": ("string", "ids"),
     "wbsm-rada": ("ontology", ("rada", ("none",))),
     "wbsm-jc": ("ontology", ("jiang-conrath", ("none",))),
     "ubsm-rada": ("ontology", ("rada", ("annotations",))),
@@ -84,8 +84,8 @@ class PairScorer:
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
     measures (both for ``com``). ``score_tokens`` scores a pair's tokens of
-    one view; it is None for the measures that :func:`strsim.token_pair_scores`
-    scores. ``com`` is WBSM over each of its views, combined by
+    one view; it is None for the string measures, which :func:`score_runs`
+    scores a table at a time. ``com`` is WBSM over each of its views, combined by
     :func:`score_runs`. ``kernel`` names what ``score_tokens`` computes: the
     word-similarity kind for the WBSM-based measures (``wbsm-*``, ``ubsm-*``
     and ``com``), which share it, and the measure id for every other measure.
@@ -100,7 +100,7 @@ class PairScorer:
         self.kernel = measure_id
         family, how = MEASURES[measure_id]
         if family == "string":
-            self.score_tokens = getattr(strsim, how) if how else None
+            self.score_tokens = None
         elif family == "swem":
             vectors = resources.vectors
             if vectors is None:
@@ -189,8 +189,10 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
     Each distinct sentence is pre-processed once per config
     (:func:`token_tables`, in grid order), and every scorer reading that
     config scores its table in the step that made it: the five token
-    measures from one :func:`strsim.token_pair_scores` call on its ids, the
-    others pair by pair from the table decoded once. Configs often give
+    measures from one :func:`strsim.token_pair_scores` call on its ids,
+    Levenshtein from one :func:`strsim.levenshtein_pair_scores` call on its
+    space-joined texts, and the ontology and SWEM measures pair by pair from
+    the table decoded once. Configs often give
     equal tables (22 distinct of the 48 grid configs on the benchmark's
     string corpus), so the memo maps (kernel, sha256 of the table) to a
     matrix row and every config with that table gets the very same row; ids
@@ -224,13 +226,16 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
         batch = None
         for k in readers[cfg]:
             scorer = scorers[k]
+            family, how = MEASURES[scorer.measure_id]
             row = memo.get((scorer.kernel, key))
             if row is None:
-                if scorer.score_tokens is None:
+                if family != "string":
+                    rows.append(_score_pairs(scorer, dataset.name, table.tokens, pairs))
+                elif how == "ids":
                     batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
                     rows.append(batch[scorer.measure_id])
                 else:
-                    rows.append(_score_pairs(scorer, dataset.name, table.tokens, pairs))
+                    rows.append(strsim.levenshtein_pair_scores([" ".join(s) for s in table.tokens], pair_index))
                 row = memo[scorer.kernel, key] = len(rows) - 1
             if len(scorer.views) > 1:
                 done = view_rows.setdefault(k, {})
@@ -239,7 +244,7 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
                     continue
                 rows.append(ontosim.com(*(rows[done[v]] for v in scorer.views)))
                 row = len(rows) - 1
-            runs.append((k, row, empty if MEASURES[scorer.measure_id][0] == "string" else 0))
+            runs.append((k, row, empty if family == "string" else 0))
     matrix = np.array(rows, dtype=np.float64)
     scores = [tuple(r) for r in matrix.tolist()]
     return matrix, [(k, BenchmarkRun(dataset.name, scorers[k].measure_id, scorers[k].config.label(), scores[row]),

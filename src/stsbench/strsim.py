@@ -9,7 +9,10 @@ jaccard, overlap and token q-gram) for every pair of a token table at once.
 It reads the table as token ids (as :func:`stsbench.preprocess.token_tables`
 builds it), matches each pair's sorted token and trigram keys and applies
 the empty-input rule as a mask. :func:`pair_scores` scores one pair of token
-sequences the same way. Levenshtein is scored pair by pair.
+sequences the same way. :func:`levenshtein_pair_scores` scores Levenshtein
+for every pair of a table of texts at once, each text being a sequence's
+tokens joined by spaces, and :func:`levenshtein_sim` one pair of token
+sequences.
 """
 
 from __future__ import annotations
@@ -116,51 +119,122 @@ def pair_scores(s1: Sequence[str], s2: Sequence[str]) -> dict[str, float]:
     return {m: float(s[0]) for m, s in scores.items()}
 
 
-def levenshtein_distance(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert, delete, substitute).
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+
+
+def levenshtein_pair_scores(texts: Sequence[str], pairs) -> np.ndarray:
+    """Levenshtein similarity of every pair ``(i, j)`` of ``texts`` in
+    ``pairs``, an (n, 2) array-like, as a float64 array: 1 - distance /
+    max(len), and 1.0 where both texts are empty.
+
+    The distance is unit-cost (insert, delete, substitute) over code points,
+    lone surrogates included. Its float64 division rounds as Python's int
+    division does, as both operands are exact in float64.
+    """
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    left, right = np.asarray(pairs, np.intp).reshape(-1, 2).T
+    longest = np.maximum(lengths[left], lengths[right])
+    distance = _edit_distances(texts, lengths, left, right)
+    return 1.0 - np.divide(distance, longest, out=np.zeros(len(longest)), where=longest > 0)
+
+
+def _edit_distances(texts: Sequence[str], lengths: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The edit distance of each pair ``(texts[left[k]], texts[right[k]])``.
 
     Myers' bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's
-    edit-distance form (2003): one DP column over the m characters of the
-    shorter string is held as m-bit vertical +1/-1 delta vectors ``pv`` and
-    ``mv``, and each character of the longer string updates them with a
-    fixed handful of operations on m-bit Python ints, O(n) big-int
-    operations in all. The score is tracked at bit m - 1.
+    edit-distance form (2003), run for all pairs at once: one DP column over
+    the m characters of a pair's shorter string is held as vertical +1/-1
+    delta bits ``pv`` and ``mv``, and each character of its longer string
+    (n of them) updates them with a fixed handful of big-int operations.
+    Every pair owns a segment of whole 64-bit words of one wide Python int,
+    m // 64 + 1 of them: the spare top bit stops the carry of
+    ``(eq & pv) + pv``, and ``mask`` keeps each segment's m bits. Pairs are
+    ordered by n, longest first in the low words; when a pair's longer
+    string ends, its distance is D[m][n] = D[0][n] + the sum of the column's
+    vertical deltas = n + popcount(pv) - popcount(mv) over its segment, and
+    its words are cut off the top.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    for i, c in enumerate(b):
-        peq[c] = peq.get(c, 0) | (1 << i)
-    mask = (1 << len(b)) - 1
-    top = 1 << (len(b) - 1)
-    pv, mv, score = mask, 0, len(b)
-    for c in a:
-        eq = peq.get(c, 0)
+    longer = lengths[left] >= lengths[right]
+    text, pattern = np.where(longer, left, right), np.where(longer, right, left)
+    order = np.argsort(-lengths[text], kind="stable")
+    text, pattern = text[order], pattern[order]
+    n, m = lengths[text], lengths[pattern]
+    words = m // 64 + 1
+    bounds = np.concatenate([[0], np.cumsum(words)])  # pair k owns words bounds[k]:bounds[k + 1]
+
+    # each code point's index in the texts' alphabet
+    start = np.cumsum(lengths) - lengths
+    chars = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), "<u4")
+    in_alphabet = np.zeros(int(chars.max(initial=0)) + 1, bool)
+    in_alphabet[chars] = True
+    width = int(in_alphabet.sum())
+    code = np.zeros(len(in_alphabet), np.int32)
+    code[in_alphabet] = np.arange(width, dtype=np.int32)
+
+    # peq[w * width + c]: the bits of word w of its pair's segment where the
+    # pattern holds char c, set one bit position at a time
+    owner = np.repeat(np.arange(len(m)), words)  # each word's pair
+    place = 64 * (np.arange(bounds[-1]) - bounds[owner])  # the pattern char at each word's bit 0
+    chars_left, first = m[owner] - place, start[pattern][owner] + place
+    peq = np.zeros(bounds[-1] * width, "<u8")
+    for bit in range(min(64, int(m.max(initial=0)))):
+        w = np.flatnonzero(chars_left > bit)
+        peq[w * width + code[chars[first[w] + bit]]] |= np.uint64(1 << bit)
+    column = np.arange(bounds[-1]) * width
+    reads = start[text][owner]  # where the text of each word's pair starts in ``chars``
+
+    mask_bytes = b"".join(((1 << a) - 1).to_bytes(8 * w, "little") for a, w in zip(m.tolist(), words.tolist()))
+    low_bytes = b"".join((1).to_bytes(8 * w, "little") for w in words.tolist())
+    cuts = (8 * bounds).tolist()  # the byte at which each pair's segment starts
+    pv = mask = int.from_bytes(mask_bytes, "little")
+    low, mv, live = int.from_bytes(low_bytes, "little"), 0, len(n)
+    ended_pv: list[bytes] = []  # the segments of the pairs whose texts have ended, top pairs first
+    ended_mv: list[bytes] = []
+    # after t steps, the pairs 0:alive are those whose longer string has more than t chars
+    for t, alive in enumerate(np.searchsorted(-n, -np.arange(n.max(initial=0) + 1)).tolist()):
+        if alive < live:  # the texts of pairs alive:live end here
+            # pv has no bits above the live words: the last step cut it by the mask
+            top, cut = cuts[live], cuts[alive]
+            pv_bytes, mv_bytes = pv.to_bytes(top, "little"), mv.to_bytes(top, "little")
+            ended_pv.append(pv_bytes[cut:])
+            ended_mv.append(mv_bytes[cut:])
+            mv = int.from_bytes(mv_bytes[:cut], "little")
+            mask = int.from_bytes(mask_bytes[:cut], "little")
+            low = int.from_bytes(low_bytes[:cut], "little")
+            live = alive
+        if not live:
+            break
+        live_words = bounds[live]
+        eq = int.from_bytes(peq[column[:live_words] + code[chars[reads[:live_words] + t]]].tobytes(), "little")
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        # the shifted-in 1 is row 0's +1 step: a global, not a search, distance
-        ph = (ph << 1) | 1
+        # the shifted-in 1s are row 0's +1 steps: a global, not a search, distance
+        ph = (ph << 1) | low
         mh <<= 1
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
-    return score
+    distance = np.empty(len(n), np.int64)
+    distance[order] = n + _popcounts(ended_pv, bounds) - _popcounts(ended_mv, bounds)
+    return distance
+
+
+def _popcounts(segments: list[bytes], bounds: np.ndarray) -> np.ndarray:
+    """The set bits of each pair's segment, the segments being the words
+    ``bounds[k]:bounds[k + 1]`` of the little-endian bytes that ``segments``
+    gives from the top down."""
+    ones = _BYTE_POPCOUNT[np.frombuffer(b"".join(reversed(segments)), np.uint8)]
+    return np.add.reduceat(ones, 8 * bounds[:-1], dtype=np.int64)
+
+
+def levenshtein_distance(a: str, b: str) -> int:
+    """Unit-cost edit distance (insert, delete, substitute) of two strings,
+    as :func:`levenshtein_pair_scores` computes it."""
+    return int(_edit_distances([a, b], np.array([len(a), len(b)]), np.array([0]), np.array([1]))[0])
 
 
 def levenshtein_sim(s1: Sequence[str], s2: Sequence[str]) -> float:
-    """Character-level edit similarity of the space-joined token sequences.
-
-    1 - distance / max(len); 1.0 when both sides are empty.
-    """
-    a, b = " ".join(s1), " ".join(s2)
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein_distance(a, b) / longest
+    """Character-level edit similarity of the space-joined token sequences,
+    as :func:`levenshtein_pair_scores` scores it."""
+    return float(levenshtein_pair_scores([" ".join(s1), " ".join(s2)], [(0, 1)])[0])

@@ -41,7 +41,7 @@ from stsbench.stats import (
     spearman,
     uniform_split,
 )
-from stsbench.strsim import levenshtein_sim, pair_scores, token_pair_scores
+from stsbench.strsim import levenshtein_pair_scores, pair_scores, token_pair_scores
 from test_stats import naive_pearson
 from test_strsim import EXAMPLE_S1, EXAMPLE_S2
 
@@ -123,17 +123,21 @@ def test_criterion_4_measure_properties(rng, onto_setup):
     rada, jc = onto_setup
     checks = 10_000
     pairs = [(random_tokens(rng, 1, 8), random_tokens(rng, 1, 8)) for _ in range(checks)]
-    # the five token measures, each over all pairs at once
+    # the six string measures, each over all pairs at once
     table, index = pairs_table(pairs)
-    forward = token_pair_scores(*table, index)
-    backward = token_pair_scores(*table, index[:, ::-1])
-    itself = token_pair_scores(*table, index[:, [0, 0]])
+    texts = [" ".join(s) for pair in pairs for s in pair]
+
+    def string_scores(index):
+        return {**token_pair_scores(*table, index), "levenshtein": levenshtein_pair_scores(texts, index)}
+
+    forward = string_scores(index)
+    backward = string_scores(index[:, ::-1])
+    itself = string_scores(index[:, [0, 0]])
     for name, v in forward.items():
         for what, bad in (("out of range", ~((0.0 <= v) & (v <= 1.0))), ("asymmetric", v != backward[name]),
                           ("self-sim != 1", np.abs(itself[name] - 1.0) > 1e-12)):
             assert not bad.any(), f"{name} {what} on {pairs[np.argmax(bad)]}"
     per_pair = {
-        "levenshtein": lambda a, b: levenshtein_sim(a, b),
         "wbsm": lambda a, b: wbsm(a, b, rada),
         "ubsm": lambda a, b: wbsm(a, b, jc),
         "com": lambda a, b: com(wbsm(a, b, rada), wbsm(a, b, jc)),

@@ -688,8 +688,7 @@ def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
     path = tmp_path / "d.tsv"
     write_dataset(ds, path)
     calls = Counter()
-    # levenshtein_sim is looked up when a scorer is built, inside bench.run
-    for name in ("token_pair_scores", "levenshtein_sim"):
+    for name in ("token_pair_scores", "levenshtein_pair_scores"):
         def counted(*args, _fn=getattr(strsim, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -703,7 +702,7 @@ def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
     tables = {cfg: (t.lengths.tobytes(), t.ids.tobytes()) for cfg, t in token_tables(sentences, full_grid())}
     distinct = len(set(tables.values()))
     assert distinct < 48
-    assert calls == {"token_pair_scores": distinct, "levenshtein_sim": distinct * len(ds)}
+    assert calls == {"token_pair_scores": distinct, "levenshtein_pair_scores": distinct}
     for cfg in full_grid():
         if cfg.char_filter == "default":
             twin = replace(cfg, char_filter="biosses")

@@ -22,7 +22,13 @@ from conftest import (
     token_profile,
 )
 from stsbench.ontosim import EmptyInputError, semantic_vector_sim
-from stsbench.strsim import levenshtein_distance, levenshtein_sim, pair_scores, token_pair_scores
+from stsbench.strsim import (
+    levenshtein_distance,
+    levenshtein_pair_scores,
+    levenshtein_sim,
+    pair_scores,
+    token_pair_scores,
+)
 
 EXAMPLE_S1 = ("c0280089", "formation", "mice", "oncogenic", "c1537502",
           "requires", "formation", "craf", "c0812241")
@@ -173,6 +179,43 @@ def test_levenshtein_sim():
     assert levenshtein_sim(("abc",), ("abd",)) == pytest.approx(2 / 3)
 
 
+# a space, a non-ASCII letter, an astral code point and both halves of a
+# surrogate pair, which a str may hold alone
+_EDIT_CHARS = "ab é\U0001F600\ud800\udc00"
+# pattern lengths at and beside the 64-bit word boundaries
+_WORD_EDGES = (1, 63, 64, 65, 127, 128, 129)
+
+
+def _edit_text(n: int, salt: int) -> str:
+    return "".join(_EDIT_CHARS[(i * i + salt * i + salt) % len(_EDIT_CHARS)] for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(st.one_of(
+    st.just(""),
+    st.text(_EDIT_CHARS, max_size=140),
+    st.sampled_from(_WORD_EDGES).flatmap(lambda n: st.text(_EDIT_CHARS, min_size=n, max_size=n))), max_size=7))
+@example(texts=[])
+@example(texts=["", ""])
+@example(texts=["", *(_edit_text(n, n) for n in _WORD_EDGES), _edit_text(64, 1), _edit_text(129, 2), "\ud800",
+                "\U0001F600\udc00", "a" * 200])
+def test_levenshtein_pair_scores_equal_the_dp_bit_for_bit(texts):
+    # every text with itself and with every other, in both orders: empty
+    # texts, pattern lengths on both sides of each word boundary in one
+    # table, equal and unequal text lengths, and non-ASCII code points
+    pairs = [(i, j) for i in range(len(texts)) for j in range(len(texts))]
+    scores = levenshtein_pair_scores(texts, pairs)
+    assert scores.dtype == np.float64 and scores.shape == (len(pairs),)
+    distance = {}
+    for (i, j), got in zip(pairs, scores):
+        a, b = sorted((texts[i], texts[j]))
+        if (a, b) not in distance:
+            distance[a, b] = levenshtein_dp(a, b)
+        longest = max(len(a), len(b))
+        want = 1.0 - distance[a, b] / longest if longest else 1.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (texts[i], texts[j])
+
+
 def test_empty_input_errors():
     # no string measure raises on empty input: each scores it by the rule
     for s1, s2, want in (((), ("a",), 0.0), (("a", "b"), (), 0.0), ((), (), 1.0)):
@@ -190,7 +233,7 @@ def test_empty_rule_reproduces_non_raising_kernels():
         assert scores[measure][0] == scores[measure][1] == 0.0
         assert scores[measure][2] == 1.0
         assert scores[measure][3] == kernel(("a", "b"), ("b", "c"))
-    # levenshtein_sim, scored pair by pair, follows the rule itself
+    # levenshtein_pair_scores needs no mask: the rule is its own
     assert levenshtein_sim((), ("a", "b")) == levenshtein_sim(("a",), ()) == 0.0
     # where a kernel already defines a value on empty input, the rule agrees
     assert qgram_sim((), ("a",)) == jaccard_sim((), ("a",)) == levenshtein_sim((), ("a",)) == 0.0
@@ -251,8 +294,8 @@ def test_randomized_properties(rng):
         assert ((0.0 <= v) & (v <= 1.0)).all(), m
         assert np.array_equal(v, backward[m]), m
         assert np.abs(itself[m] - 1.0).max() <= 1e-12, m
-    for s1, s2 in pairs:
-        v = levenshtein_sim(s1, s2)
-        assert 0.0 <= v <= 1.0
-        assert v == levenshtein_sim(s2, s1)
-        assert levenshtein_sim(s1, s1) == pytest.approx(1.0, abs=1e-12)
+    texts = [" ".join(s) for pair in pairs for s in pair]
+    v = levenshtein_pair_scores(texts, index)
+    assert ((0.0 <= v) & (v <= 1.0)).all()
+    assert np.array_equal(v, levenshtein_pair_scores(texts, index[:, ::-1]))
+    assert (levenshtein_pair_scores(texts, index[:, [0, 0]]) == 1.0).all()

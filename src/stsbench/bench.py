@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import time
 import warnings
 from collections.abc import Sequence
@@ -186,24 +185,26 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
     ``empty`` being the number of pairs that a string measure scored by the
     empty-input rule (0 for the other measures).
 
-    Each distinct sentence is pre-processed once per config
-    (:func:`token_tables`, in grid order), and every scorer reading that
-    config scores its table in the step that made it: the five token
-    measures from one :func:`strsim.token_pair_scores` call on its ids,
-    Levenshtein from one :func:`strsim.levenshtein_pair_scores` call on its
-    space-joined texts, and the ontology and SWEM measures pair by pair from
-    the table decoded once. Configs often give
-    equal tables (22 distinct of the 48 grid configs on the benchmark's
-    string corpus), so the memo maps (kernel, sha256 of the table) to a
-    matrix row and every config with that table gets the very same row; ids
-    are numbered per call, so the memo lives for one call. The kernel is
-    :attr:`PairScorer.kernel`, so a table that ``wbsm-rada``, ``ubsm-rada``
-    and ``com`` all read is scored once. ``com`` keeps the row of each of its
-    views and, at the last one, combines them with :func:`ontosim.com`. A
-    measure that reads the ``ner=annotations`` view of a dataset without
-    annotations warns once; the empty-input warning is the caller's, so that
-    it can come after the run's statistics, beside their warnings
-    (:func:`report_rows`).
+    Each distinct sentence is pre-processed through :func:`token_tables`,
+    in grid order, and every scorer reading a config scores its table in the
+    step that made it: the five token measures from one
+    :func:`strsim.token_pair_scores` call on its ids, Levenshtein from one
+    :func:`strsim.levenshtein_pair_scores` call on its space-joined texts,
+    and the ontology and SWEM measures pair by pair from the table decoded
+    once. Configs often give equal tables (22 distinct of the 48 grid
+    configs on the benchmark's string corpus), so the memo maps (kernel,
+    :attr:`TokenTable.key`) to a matrix row and every config with that key
+    gets the very same row. The key is a sha256 of the table's whitespace
+    split and its composed stage map, so a table whose key was seen is
+    neither expanded to ids nor scored again; its empty-input count is kept
+    per key too. Ids are numbered per call, so the memo lives for one call.
+    The kernel is :attr:`PairScorer.kernel`, so a table that ``wbsm-rada``,
+    ``ubsm-rada`` and ``com`` all read is scored once. ``com`` keeps the row
+    of each of its views and, at the last one, combines them with
+    :func:`ontosim.com`. A measure that reads the ``ner=annotations`` view of
+    a dataset without annotations warns once; the empty-input warning is the
+    caller's, so that it can come after the run's statistics, beside their
+    warnings (:func:`report_rows`).
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
@@ -216,13 +217,16 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
     for k, scorer in enumerate(scorers):
         for view in scorer.views:
             readers.setdefault(view, []).append(k)
-    memo: dict[tuple[str, bytes], int] = {}  # (kernel, table sha256) -> row
+    memo: dict[tuple[str, bytes], int] = {}  # (kernel, table key) -> row
+    empties: dict[bytes, int] = {}  # table key -> pairs with an empty side
     rows: list[np.ndarray] = []
     view_rows: dict[int, dict[PreprocessConfig, int]] = {}  # com's rows of the views scored so far
     runs: list[tuple[int, int, int]] = []
     for cfg, table in token_tables(list(ids), readers):
-        key = hashlib.sha256(np.concatenate([table.lengths, table.ids])).digest()
-        empty = np.count_nonzero(table.lengths[pair_index].min(axis=1) == 0)
+        key = table.key
+        if key not in empties:
+            empties[key] = np.count_nonzero(table.lengths[pair_index].min(axis=1) == 0)
+        empty = empties[key]
         batch = None
         for k in readers[cfg]:
             scorer = scorers[k]

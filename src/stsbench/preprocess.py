@@ -22,16 +22,26 @@ The ``treebank-rules`` tokenizer is one regular expression,
 
 Exact parity with external tokenizers is not promised.
 
+Every stage after concept substitution maps a token to tokens. The text is
+split at whitespace once; ``treebank-rules`` then splits each whitespace
+chunk, which gives the tokens of the pattern run over the whole text, since
+no match spans whitespace. A stage takes a batch of tokens and returns the
+output tokens of each: lower-casing and char filtering run once per batch,
+on the tokens joined by line breaks, which no token holds.
+
 :func:`preprocess` runs the pipeline on one sentence and returns strings.
 :func:`token_tables` runs it over many sentences and configs at once and
-returns token ids: each sentence is tokenized once per (ner, tokenizer),
-its tokens are numbered in one vocabulary per call, and every later stage
-is a map over ids, built by calling the stage once per distinct token.
+returns token ids: each sentence is split once per NER mode, its tokens are
+numbered in one vocabulary per call, and every later stage is a map over
+ids that runs the stage once on the tokens it has not seen. The maps
+compose on the split's distinct tokens, and a config's table is one gather
+from the split through its composed map.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import re
 from collections.abc import Iterable, Iterator, Sequence
@@ -83,7 +93,7 @@ def load_stopwords(name: str) -> frozenset[str]:
 
 _RULE_RE = re.compile(r"^s/(\\.|[^/])/(\\.|[^/]*)/$")
 _NON_ALNUM_MARKER = "s/[^alnum]/ /"
-_NON_ALNUM_RE = re.compile(r"[\W_]")  # exactly the characters that str.isalnum() rejects
+_NON_ALNUM_RE = re.compile(r"[^\w\n]|_")  # exactly the characters but "\n" that str.isalnum() rejects
 
 
 class CharFilter:
@@ -95,10 +105,12 @@ class CharFilter:
         self._table.update({ord(k): v for k, v in replace.items()})
         self._non_alnum = non_alnum_to_space
 
-    def apply(self, token: str) -> str:
+    def apply(self, text: str) -> str:
+        """The text filtered. No rule maps to or from a line break, so each
+        line of the result is its line of ``text`` filtered alone."""
         if self._non_alnum:
-            token = _NON_ALNUM_RE.sub(" ", token)
-        return token.translate(self._table)
+            text = _NON_ALNUM_RE.sub(" ", text)
+        return text.translate(self._table)
 
 
 def _unescape(s: str) -> str:
@@ -117,7 +129,8 @@ def load_char_filter(name: str) -> CharFilter:
     * a replacement rule ``s/FROM/TO/`` (single characters, ``\\/``
       escapes a slash)
     * the special rule ``s/[^alnum]/ /``, which maps every
-      non-alphanumeric character (``str.isalnum``) to a space
+      non-alphanumeric character (``str.isalnum``) but the line break to a
+      space
     """
     delete: list[str] = []
     replace: dict[str, str] = {}
@@ -181,18 +194,34 @@ def substitute_concepts(sentence: RawSentence) -> str:
     return text
 
 
+def _text(sentence: RawSentence, ner: str) -> str:
+    """The sentence's text at NER mode ``ner``."""
+    return substitute_concepts(sentence) if ner == "annotations" else sentence.text
+
+
+def _lines(fn, tokens: list[str]) -> list[str]:
+    """``fn`` run once on the tokens joined by line breaks, split back into
+    one string per token. Exact for a ``fn`` that maps each line on its own
+    and keeps the line breaks, as no token holds one."""
+    return fn("\n".join(tokens)).split("\n") if tokens else []
+
+
 def _stages(cfg: PreprocessConfig) -> list:
-    """The pipeline as (map name, item -> tokens) stages, applied to a
-    one-sentence sequence first; None for a stage the config skips. Configs
-    whose stage has the same map name share one id map in :func:`token_tables`."""
+    """The pipeline after the whitespace split as (map name, stage) pairs,
+    None for a stage the config skips. A stage takes a list of tokens and
+    returns the output tokens of each. Configs whose stage has the same map
+    name share one id map in :func:`token_tables`."""
     filt = load_char_filter(cfg.char_filter) if cfg.char_filter != "none" else None
     stop = load_stopwords(cfg.stopwords) if cfg.stopwords != "none" else None
     return [
-        (None, lambda s: tokenize(substitute_concepts(s) if cfg.ner == "annotations" else s.text,
-                                  cfg.tokenizer)),
-        (("lowercase",), lambda t: (t.lower(),)) if cfg.lowercase else None,
-        (("char_filter", cfg.char_filter), lambda t: filt.apply(t).split()) if filt else None,
-        (("stopwords", cfg.stopwords), lambda t: () if t.lower() in stop else (t,)) if stop else None,
+        # no treebank match spans whitespace, so the rules may split chunk by chunk
+        ((("tokenizer", cfg.tokenizer), lambda ts: [tokenize(t, cfg.tokenizer) for t in ts])
+         if cfg.tokenizer != "whitespace" else None),
+        (("lowercase",), lambda ts: [(t,) for t in _lines(str.lower, ts)]) if cfg.lowercase else None,
+        ((("char_filter", cfg.char_filter),
+          lambda ts: [t.split() for t in _lines(filt.apply, ts)])
+         if filt else None),
+        (("stopwords", cfg.stopwords), lambda ts: [() if t.lower() in stop else (t,) for t in ts]) if stop else None,
     ]
 
 
@@ -201,26 +230,72 @@ def preprocess(sentence: RawSentence, cfg: PreprocessConfig) -> TokenSequence:
 
     An all-filtered sentence yields an empty sequence, not an error.
     """
-    tokens: tuple = (sentence,)
-    for stage in _stages(cfg):
-        if stage is not None:
-            tokens = tuple(out for item in tokens for out in stage[1](item))
-    return tokens
+    tokens = list(tokenize(_text(sentence, cfg.ner), "whitespace"))
+    for _, stage in filter(None, _stages(cfg)):
+        tokens = [out for outs in stage(tokens) for out in outs]
+    return tuple(tokens)
+
+
+def _expand(index: np.ndarray, lengths: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+            targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of items, ``index`` back to back and ``lengths`` long, with
+    item k replaced by ``targets[starts[index[k]]:][:counts[index[k]]]``: the
+    new items back to back and the new lengths, by one gather."""
+    count = counts[index]
+    ends = np.cumsum(count)
+    bounds = np.concatenate([[0], ends])[np.concatenate([[0], np.cumsum(lengths)])]
+    # item k's outputs go to the output from ends[k] - count[k] on
+    at = np.repeat(starts[index] + count - ends, count)
+    return targets[at + np.arange(len(at))], np.diff(bounds)
+
+
+@dataclass(frozen=True, eq=False)
+class _Split:
+    """The sentences split at whitespace at one NER mode: the number of
+    tokens of each sentence, the split's distinct token ids in ascending
+    order, each token's index in ``distinct`` and a sha256 of the split."""
+
+    lengths: np.ndarray
+    distinct: np.ndarray
+    inverse: np.ndarray
+    digest: bytes
 
 
 @dataclass(frozen=True, eq=False)
 class TokenTable:
     """The token sequences of a list of sentences under one config, as ids.
 
-    ``ids`` holds every sentence's token ids back to back, ``lengths`` the
-    number of tokens of each sentence and ``vocab`` the token of each id. All
-    tables of one :func:`token_tables` call share one vocabulary, which only
-    grows, so an id means the same token in each of them.
+    A table is its NER mode's whitespace split with the config's map over
+    the split's distinct tokens: ``split.distinct[j]`` becomes the next
+    ``counts[j]`` ids of ``targets``. ``key`` is a sha256 of the split and
+    the map, so tables with equal keys are equal. ``ids`` holds every
+    sentence's token ids back to back and ``lengths`` the number of tokens of
+    each sentence, both built on first use; ``vocab`` holds the token of each
+    id. All tables of one :func:`token_tables` call share one vocabulary,
+    which only grows, so an id means the same token in each of them.
     """
 
-    ids: np.ndarray
-    lengths: np.ndarray
+    split: _Split
+    counts: np.ndarray
+    targets: np.ndarray
     vocab: list[str]
+
+    @functools.cached_property
+    def key(self) -> bytes:
+        return hashlib.sha256(self.split.digest + self.counts.tobytes() + self.targets.tobytes()).digest()
+
+    @functools.cached_property
+    def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = np.cumsum(self.counts) - self.counts
+        return _expand(self.split.inverse, self.split.lengths, starts, self.counts, self.targets)
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._expanded[0]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self._expanded[1]
 
     @functools.cached_property
     def tokens(self) -> list[TokenSequence]:
@@ -245,79 +320,76 @@ class _Vocabulary:
         return np.fromiter(map(self._index.__getitem__, tokens), np.int64, len(tokens))
 
 
+def _split(sentences: Sequence[RawSentence], ner: str, vocab: _Vocabulary) -> _Split:
+    """The sentences split at whitespace at NER mode ``ner``, numbered in ``vocab``."""
+    split = [tokenize(_text(s, ner), "whitespace") for s in sentences]
+    lengths = np.fromiter(map(len, split), np.int64, len(split))
+    ids = vocab.ids(list(itertools.chain.from_iterable(split)))
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    return _Split(lengths, distinct, inverse, hashlib.sha256(np.concatenate([lengths, ids])).digest())
+
+
 class _IdMap:
-    """A pipeline stage's token -> tokens function as a map over ids, calling the
-    function once per distinct id: id i maps to ``targets[start[i]:start[i] + count[i]]``,
+    """A pipeline stage as a map over ids, running the stage once on the ids
+    it has not seen: id i maps to ``targets[start[i]:start[i] + count[i]]``,
     and ``count[i]`` is -1 until i has been seen."""
 
-    def __init__(self, fn, vocab: _Vocabulary):
-        self._fn, self._vocab = fn, vocab
+    def __init__(self, stage, vocab: _Vocabulary):
+        self._stage, self._vocab = stage, vocab
         self._count = np.empty(0, np.int64)
         self._start = np.empty(0, np.int64)
         self._targets = np.empty(0, np.int64)
 
     def _learn(self, ids: np.ndarray) -> None:
-        """Run the stage on each token of ``ids`` not seen before."""
+        """Run the stage on the tokens of ``ids`` not seen before, in id order."""
         grow = len(self._vocab.tokens) - len(self._count)
         self._count = np.concatenate([self._count, np.full(grow, -1, np.int64)])
         self._start = np.concatenate([self._start, np.zeros(grow, np.int64)])
         new = np.unique(ids[self._count[ids] < 0]).tolist()
-        outs = [self._fn(self._vocab.tokens[i]) for i in new]
+        if not new:
+            return
+        outs = self._stage([self._vocab.tokens[i] for i in new])
         sizes = np.fromiter(map(len, outs), np.int64, len(outs))
         self._count[new] = sizes
         self._start[new] = len(self._targets) + np.cumsum(sizes) - sizes
         flat = self._vocab.ids(list(itertools.chain.from_iterable(outs)))
         self._targets = np.concatenate([self._targets, flat])
 
-    def __call__(self, table: TokenTable) -> TokenTable:
-        self._learn(table.ids)
-        count = self._count[table.ids]
-        ends = np.cumsum(count)
-        bounds = np.concatenate([[0], ends])[np.concatenate([[0], np.cumsum(table.lengths)])]
-        # token k's outputs, targets[start[k]:start[k] + count[k]], go to the
-        # output from ends[k] - count[k] on: one gather copies them all
-        at = np.repeat(self._start[table.ids] + count - ends, count)
-        return TokenTable(self._targets[at + np.arange(len(at))], np.diff(bounds), self._vocab.tokens)
+    def __call__(self, ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sequences ``ids`` (``lengths`` long) mapped: new ids and lengths."""
+        self._learn(ids)
+        return _expand(ids, lengths, self._start, self._count, self._targets)
 
 
 def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessConfig]
                  ) -> Iterator[tuple[PreprocessConfig, TokenTable]]:
-    """Yield ``(cfg, table)`` per distinct config, ``table.tokens`` being
-    ``[preprocess(s, cfg) for s in sentences]``.
+    """Yield ``(cfg, table)`` per distinct config, in grid order,
+    ``table.tokens`` being ``[preprocess(s, cfg) for s in sentences]``.
 
-    Configs come in grid order so that consecutive ones share stage
-    prefixes: text is tokenized once per (ner, tokenizer), lower-cased once
-    per lowercase choice below that and char-filtered once per filter below
-    that. Only the latest table of each stage is kept. Tokenizing numbers
-    each token in a vocabulary shared by every table of the call; each later
-    stage is an :class:`_IdMap` per option value, also shared, so its
-    function runs once per distinct token.
+    Each sentence is split at whitespace once per NER mode, numbering its
+    tokens in a vocabulary shared by every table of the call. Each later
+    stage is an :class:`_IdMap` per option value, also shared, so that it
+    runs once per distinct token. The maps run on a table of the split's
+    distinct tokens, one sequence each, and each prefix of stages is
+    composed once per NER mode; a config's table is the split with its
+    composed map, expanded on first use.
     """
     vocab = _Vocabulary()
     maps: dict[tuple, _IdMap] = {}
-
-    def mapped(table: TokenTable | None, stage) -> TokenTable:
-        if stage is None:
-            return table
-        if table is None:  # tokenizing, the first stage, reads the sentences
-            split = [stage[1](s) for s in sentences]
-            lengths = np.fromiter(map(len, split), np.int64, len(split))
-            return TokenTable(vocab.ids(list(itertools.chain.from_iterable(split))), lengths, vocab.tokens)
-        if stage[0] not in maps:
-            maps[stage[0]] = _IdMap(stage[1], vocab)
-        return maps[stage[0]](table)
-
-    kept: list = [None] * 3  # (config prefix, table) after tokenizing, lower-casing, char filtering
+    ner = None
     for cfg in sorted(set(configs), key=full_grid(with_ner=True).index):
-        key = (cfg.ner, cfg.tokenizer, cfg.lowercase, cfg.char_filter)
-        stages = _stages(cfg)
-        table = None
-        for depth in range(3):
-            if kept[depth] is None or kept[depth][0] != key[:depth + 2]:
-                kept[depth:] = [None] * (3 - depth)  # stale from here down
-                kept[depth] = (key[:depth + 2], mapped(table, stages[depth]))
-            table = kept[depth][1]
-        yield cfg, mapped(table, stages[3])
+        if cfg.ner != ner:  # NER modes come one after the other in grid order
+            ner, split = cfg.ner, _split(sentences, cfg.ner, vocab)
+            composed = {(): (split.distinct, np.ones(len(split.distinct), np.int64))}
+        path: tuple = ()
+        for name, stage in filter(None, _stages(cfg)):
+            prefix, path = path, path + (name,)
+            if path not in composed:
+                if name not in maps:
+                    maps[name] = _IdMap(stage, vocab)
+                composed[path] = maps[name](*composed[prefix])
+        targets, counts = composed[path]
+        yield cfg, TokenTable(split, counts, targets, vocab.tokens)
 
 
 def full_grid(with_ner: bool = False, ner: str = "none") -> list[PreprocessConfig]:

@@ -711,6 +711,37 @@ def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
                 assert files[m, cfg.label()].read_bytes() == files[m, twin.label()].read_bytes()
 
 
+def test_equal_stage_maps_share_one_key_and_build_once(monkeypatch):
+    import functools
+    import itertools
+    from dataclasses import replace
+    from stsbench import preprocess as module
+    from stsbench.preprocess import token_tables
+    # no symbol that only cf=biosses deletes, so cf=default and cf=biosses map every token alike
+    ds = _marked_dataset(np.random.default_rng(3), 15, "d", ("The {}.", "{}-binding, not [x]", "{}"))
+    sentences = list(dict.fromkeys(s for p in ds.pairs for s in (p.s1, p.s2)))
+    tables = dict(token_tables(sentences, full_grid()))
+    for cfg in full_grid():
+        if cfg.char_filter == "default":
+            assert tables[cfg].key == tables[replace(cfg, char_filter="biosses")].key
+    contents = {cfg: (t.lengths.tobytes(), t.ids.tobytes()) for cfg, t in tables.items()}
+    for a, b in itertools.combinations(full_grid(), 2):
+        if contents[a] != contents[b]:
+            assert tables[a].key != tables[b].key
+    keys = list(dict.fromkeys(t.key for t in tables.values()))
+    assert len(keys) < 48
+
+    # score_runs expands each key's table to ids once, and scores it once
+    built = []
+    expand = module.TokenTable.__dict__["_expanded"].func
+    counted = functools.cached_property(lambda table: built.append(table.key) or expand(table))
+    counted.__set_name__(module.TokenTable, "_expanded")
+    monkeypatch.setattr(module.TokenTable, "_expanded", counted)
+    matrix, runs = bench.score_runs([PairScorer("qgram", cfg, Resources()) for cfg in full_grid()], ds)
+    assert built == keys
+    assert len(matrix) == len(keys) and len(runs) == 48
+
+
 def test_reused_scores_warn_once_per_config(tmp_path):
     from stsbench.core import RawSentence, SentencePair
     # every measure scores each pair 1 under every config, so every

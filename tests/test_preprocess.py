@@ -108,7 +108,7 @@ def test_blagec_filter_non_alnum():
     assert f.apply("a+b=c!") == "a b c "
     assert f.apply("abc123") == "abc123"
     every_code_point = "".join(map(chr, range(0x110000)))
-    assert f.apply(every_code_point) == "".join(c if c.isalnum() else " " for c in every_code_point)
+    assert f.apply(every_code_point) == "".join(c if c.isalnum() or c == "\n" else " " for c in every_code_point)
 
 
 @pytest.mark.parametrize("name", OPTIONS["char_filter"][1:])
@@ -232,18 +232,54 @@ def test_token_tables_equal_preprocess(extra, picks, seed):
 
 
 def test_token_tables_call_each_stage_once_per_distinct_input(monkeypatch):
-    # the stages are looked up as module attributes, so a wrapper set there
-    # (a profiler's, say) sees every call
+    # the stages are looked up as module and class attributes, so a wrapper
+    # set there (a profiler's, say) sees every call
     from stsbench import preprocess as module
     tokenized, filtered = [], []
     tokenize, apply = module.tokenize, module.CharFilter.apply
     monkeypatch.setattr(module, "tokenize", lambda text, mode: tokenized.append((text, mode)) or tokenize(text, mode))
-    monkeypatch.setattr(module.CharFilter, "apply",
-                        lambda self, token: filtered.append((self.name, token)) or apply(self, token))
+    monkeypatch.setattr(module.CharFilter, "apply", lambda self, text: filtered.extend(
+        (self.name, token) for token in text.split("\n")) or apply(self, text))
     ds = make_dataset(np.random.default_rng(3), 20)
     sentences = list(dict.fromkeys(s for pair in ds.pairs for s in (pair.s1, pair.s2)))
-    sentences += [RawSentence("Tumour-7 IL-6, the IL-6!"), RawSentence("")]
+    sentences += [RawSentence("Tumour-7 IL-6, the IL-6!", (Annotation(0, 8, "C0012"),)), RawSentence("")]
     for _ in token_tables(sentences, full_grid(with_ner=True)):
         pass
-    assert len(tokenized) == 4 * len(sentences)
+    texts = [module._text(s, ner) for ner in OPTIONS["ner"] for s in sentences]
+    assert [text for text, mode in tokenized if mode == "whitespace"] == texts
+    chunks = [text for text, mode in tokenized if mode == "treebank-rules"]
+    assert len(chunks) == len(set(chunks))
+    assert set(chunks) == {chunk for text in texts for chunk in text.split()}
     assert len(filtered) == len(set(filtered)) > 0
+
+
+# tokens as the whitespace split gives them, with the characters that a
+# batched stage could get wrong: a capital sigma, whose lower case depends
+# on the letters around it, İ, which lower-cases to two code points, "_" and
+# non-ASCII punctuation, which only blagec2019 maps, and the filters'
+# deletions and replacements, which empty or split a token
+_TOKEN_CHARS = st.one_of(st.sampled_from(list("AΣσİi_-−–/.,;(%)'’‐…·«THEthe")),
+                         st.characters().filter(lambda c: not c.isspace()))
+_TOKENS = st.lists(st.text(_TOKEN_CHARS, min_size=1, max_size=6), max_size=12)
+
+
+@given(_TOKENS)
+@example([])
+@example(["ΑΣ", "Σ", "ΑΣ'", "Σα", "ΑΣ", "σ"])
+@example(["İ", "İİ", "Aİ"])
+@example(["a_b", "x…y", "«The»", ",", "(", "IL-6", "a/b-c"])
+@example(["The", "OF", "and", "The,"])
+@settings(max_examples=300, deadline=None)
+def test_batched_stages_equal_the_per_token_stages(tokens):
+    from stsbench.preprocess import _stages
+    per_token = {("lowercase",): lambda t: (t.lower(),)}
+    for name in OPTIONS["char_filter"][1:]:
+        per_token["char_filter", name] = lambda t, f=load_char_filter(name): tuple(f.apply(t).split())
+    for name in OPTIONS["stopwords"][1:]:
+        per_token["stopwords", name] = lambda t, stop=load_stopwords(name): () if t.lower() in stop else (t,)
+    batched = {}
+    for cf, sw in zip(OPTIONS["char_filter"][1:], [*OPTIONS["stopwords"][1:], "none"]):
+        batched.update(s for s in _stages(PreprocessConfig(char_filter=cf, stopwords=sw)) if s is not None)
+    assert batched.keys() == per_token.keys()
+    for name, stage in batched.items():
+        assert [tuple(out) for out in stage(tokens)] == [per_token[name](t) for t in tokens], name

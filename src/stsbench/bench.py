@@ -35,13 +35,14 @@ class ScoringError(RuntimeError):
     """A measure failed on a pair; the message names the measure, pair and dataset."""
 
 
-# measure id -> (family, how it is computed). "string": what ``score_runs``
-# hands the kernel that scores all pairs of a table at once, "ids" for the five
-# token measures of ``strsim.token_pair_scores`` and "text" (each sentence's
-# tokens joined by spaces) for ``strsim.levenshtein_pair_scores``.
-# "ontology": the word-similarity kind and the NER modes of the token views it
-# reads; UBSM is WBSM over the concept-substituted view, COM averages the two.
-# "swem": the pooling mode.
+# measure id -> (family, how it is computed). "string": "ids" for the five
+# token measures, which ``score_runs`` scores a table at a time from its ids
+# by ``strsim.token_pair_scores``, and "text" for Levenshtein, scored through
+# the pair memo by ``strsim.levenshtein_pair_scores`` on each new pair's
+# tokens joined by spaces. "ontology": the word-similarity kind and the NER
+# modes of the token views it reads; UBSM is WBSM over the concept-substituted
+# view, COM averages the two. "swem": the pooling mode. The ontology and SWEM
+# measures are scored pair by pair through the pair memo.
 MEASURES = {
     "qgram": ("string", "ids"), "jaccard": ("string", "ids"),
     "block": ("string", "ids"), "liblock": ("string", "ids"),
@@ -83,11 +84,14 @@ class PairScorer:
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
     measures (both for ``com``). ``score_tokens`` scores a pair's tokens of
-    one view; it is None for the string measures, which :func:`score_runs`
-    scores a table at a time. ``com`` is WBSM over each of its views, combined by
-    :func:`score_runs`. ``kernel`` names what ``score_tokens`` computes: the
-    word-similarity kind for the WBSM-based measures (``wbsm-*``, ``ubsm-*``
-    and ``com``), which share it, and the measure id for every other measure.
+    one view; it is None for the string measures, which have batch kernels.
+    ``com`` is WBSM over each of its views, combined by :func:`score_runs`.
+    ``kernel`` names what the measure computes on one view, and keys both of
+    :func:`score_runs`' memos: the word-similarity kind for the WBSM-based
+    measures (``wbsm-*``, ``ubsm-*`` and ``com``), which share it, and the
+    measure id for every other measure. Two scorers of one kernel give a
+    pair of token sequences the same score, so Levenshtein and the ontology
+    and SWEM measures score each distinct pair once per dataset and kernel.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -187,24 +191,30 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
 
     Each distinct sentence is pre-processed through :func:`token_tables`,
     in grid order, and every scorer reading a config scores its table in the
-    step that made it: the five token measures from one
-    :func:`strsim.token_pair_scores` call on its ids, Levenshtein from one
-    :func:`strsim.levenshtein_pair_scores` call on its space-joined texts,
-    and the ontology and SWEM measures pair by pair from the table decoded
-    once. Configs often give equal tables (22 distinct of the 48 grid
-    configs on the benchmark's string corpus), so the memo maps (kernel,
-    :attr:`TokenTable.key`) to a matrix row and every config with that key
-    gets the very same row. The key is a sha256 of the table's whitespace
-    split and its composed stage map, so a table whose key was seen is
-    neither expanded to ids nor scored again; its empty-input count is kept
-    per key too. Ids are numbered per call, so the memo lives for one call.
-    The kernel is :attr:`PairScorer.kernel`, so a table that ``wbsm-rada``,
-    ``ubsm-rada`` and ``com`` all read is scored once. ``com`` keeps the row
-    of each of its views and, at the last one, combines them with
-    :func:`ontosim.com`. A measure that reads the ``ner=annotations`` view of
-    a dataset without annotations warns once; the empty-input warning is the
-    caller's, so that it can come after the run's statistics, beside their
-    warnings (:func:`report_rows`).
+    step that made it. Configs often give equal tables (22 distinct of the
+    48 grid configs on the benchmark's string corpus), so the memo maps
+    (kernel, :attr:`TokenTable.key`) to a matrix row and every config with
+    that key gets the very same row. The key is a sha256 of the table's
+    whitespace split and its composed stage map, so a table whose key was
+    seen is neither expanded to ids nor scored again; its empty-input count
+    is kept per key too. Ids are numbered per call, so the memo lives for
+    one call. The kernel is :attr:`PairScorer.kernel`, so a table that
+    ``wbsm-rada``, ``ubsm-rada`` and ``com`` all read is scored once.
+
+    A new table is scored in one of two ways. The five token measures come
+    from one :func:`strsim.token_pair_scores` call on its ids; they never
+    decode a table, which the pair memo's keys need, and a memo over their
+    pairs was measured slower (see the README). Levenshtein and the
+    ontology and SWEM measures go through the pair memo, which maps
+    (kernel, pair of token sequences) to a score: tables that differ still
+    share most sentence pairs, so each distinct pair of token sequences, in
+    order, is scored once per dataset and kernel, and each row is gathered
+    from the memo (:func:`_memo_row`). ``com`` keeps the row of each of its
+    views and, at the last one, combines them with :func:`ontosim.com`. A
+    measure that reads the ``ner=annotations`` view of a dataset without
+    annotations warns once; the empty-input warning is the caller's, so
+    that it can come after the run's statistics, beside their warnings
+    (:func:`report_rows`).
     """
     ids: dict[RawSentence, int] = {}
     pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
@@ -218,6 +228,7 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
         for view in scorer.views:
             readers.setdefault(view, []).append(k)
     memo: dict[tuple[str, bytes], int] = {}  # (kernel, table key) -> row
+    pair_memo: dict[str, dict] = {}  # kernel -> (token sequence, token sequence) -> score
     empties: dict[bytes, int] = {}  # table key -> pairs with an empty side
     rows: list[np.ndarray] = []
     view_rows: dict[int, dict[PreprocessConfig, int]] = {}  # com's rows of the views scored so far
@@ -227,19 +238,21 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
         if key not in empties:
             empties[key] = np.count_nonzero(table.lengths[pair_index].min(axis=1) == 0)
         empty = empties[key]
-        batch = None
+        batch = token_pairs = None
         for k in readers[cfg]:
             scorer = scorers[k]
             family, how = MEASURES[scorer.measure_id]
             row = memo.get((scorer.kernel, key))
             if row is None:
-                if family != "string":
-                    rows.append(_score_pairs(scorer, dataset.name, table.tokens, pairs))
-                elif how == "ids":
+                if how == "ids":
                     batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
                     rows.append(batch[scorer.measure_id])
                 else:
-                    rows.append(strsim.levenshtein_pair_scores([" ".join(s) for s in table.tokens], pair_index))
+                    if token_pairs is None:
+                        tokens = table.tokens
+                        token_pairs = [(tokens[a], tokens[b]) for a, b in pairs]
+                    scored = pair_memo.setdefault(scorer.kernel, {})
+                    rows.append(_memo_row(scorer, dataset.name, token_pairs, scored))
                 row = memo[scorer.kernel, key] = len(rows) - 1
             if len(scorer.views) > 1:
                 done = view_rows.setdefault(k, {})
@@ -255,17 +268,26 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
                      row, empty) for k, row, empty in runs]
 
 
-def _score_pairs(scorer: PairScorer, name: str, table: list[TokenSequence],
-                 pairs: list[tuple[int, int]]) -> np.ndarray:
-    score = scorer.score_tokens
-    scores: list[float] = []
-    try:
-        for a, b in pairs:
-            scores.append(score(table[a], table[b]))
-    except Exception as exc:
-        raise ScoringError(
-            f"{scorer.measure_id} failed on pair {len(scores)} of {name!r}: {exc}") from exc
-    return np.array(scores, dtype=np.float64)
+def _memo_row(scorer: PairScorer, name: str, pairs: list[tuple[TokenSequence, TokenSequence]],
+              memo: dict[tuple[TokenSequence, TokenSequence], float]) -> np.ndarray:
+    """The scorer's score of each pair of token sequences, read from
+    ``memo``, the scores of its kernel so far. The pairs that the memo lacks
+    are scored first, so a pair that an earlier table scored gets the very
+    same float."""
+    new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
+    if scorer.score_tokens is None:  # Levenshtein: one call on the texts of the new pairs
+        if new:
+            at = {s: i for i, s in enumerate(dict.fromkeys(seq for pair in new for seq in pair))}
+            texts = [" ".join(s) for s in at]
+            memo.update(zip(new, strsim.levenshtein_pair_scores(texts, [(at[a], at[b]) for a, b in new]).tolist()))
+    else:
+        for pair in new:  # in order of first appearance: the first to fail is the table's first failing pair
+            try:
+                memo[pair] = scorer.score_tokens(*pair)
+            except Exception as exc:
+                raise ScoringError(f"{scorer.measure_id} failed on pair {pairs.index(pair)} "
+                                   f"of {name!r}: {exc}") from exc
+    return np.fromiter(map(memo.__getitem__, pairs), np.float64, len(pairs))
 
 
 def score_dataset(scorer: PairScorer, dataset: Dataset) -> BenchmarkRun:

@@ -194,10 +194,14 @@ def _cmd_significance(args) -> int:
     plan = build_plan(args)
     scorers = bench.validate_plan(plan)
     dataset = _single_dataset(plan)
-    if args.splits > len(dataset) // 2:
+    most = len(dataset) // 2
+    if args.splits < 1:
+        raise PlanError(f"--splits {args.splits} is too few: it must be at least 1, "
+                        f"and at most {most} for dataset {dataset.name!r} of {len(dataset)} pairs")
+    if args.splits > most:
         raise PlanError(f"--splits {args.splits} is too many for dataset {dataset.name!r} "
                         f"of {len(dataset)} pairs: each split needs at least 2 pairs, "
-                        f"so at most {len(dataset) // 2} splits")
+                        f"so at most {most} splits")
     parts = stats.uniform_split(len(dataset), args.splits)
     matrix, runs = bench.score_runs(scorers, dataset)
     rows = bench.report_rows(matrix, runs, dataset.human_scores(), parts)

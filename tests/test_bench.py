@@ -458,6 +458,17 @@ def test_significance_rejects_one_pair_splits_before_scoring(tmp_path, capsys, m
     assert (tmp_path / "out" / "significance.csv").is_file()
 
 
+@pytest.mark.parametrize("splits", ["0", "-1"])
+def test_significance_rejects_fewer_than_one_split_before_scoring(tmp_path, capsys, monkeypatch, splits):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 20), path)
+    monkeypatch.setattr(bench, "score_runs", lambda *a: pytest.fail("scored before the --splits check"))
+    assert cli.main(["significance", "--dataset", f"d={path}", "--measure", "jaccard",
+                     "--splits", splits, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: --splits {splits} is too few: it must be at least 1, "
+                                       "and at most 10 for dataset 'd' of 20 pairs\n")
+
+
 def test_significance_warns_once_per_dataset(tmp_path, rng):
     tax_path, lex_path = _onto_files(tmp_path)
     path = tmp_path / "d.tsv"
@@ -688,9 +699,13 @@ def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
     path = tmp_path / "d.tsv"
     write_dataset(ds, path)
     calls = Counter()
+    lev_pairs = Counter()  # each pair of texts that Levenshtein scored
     for name in ("token_pair_scores", "levenshtein_pair_scores"):
         def counted(*args, _fn=getattr(strsim, name), _name=name):
             calls[_name] += 1
+            if _name == "levenshtein_pair_scores":
+                texts, pairs = args
+                lev_pairs.update((texts[a], texts[b]) for a, b in pairs)
             return _fn(*args)
         monkeypatch.setattr(strsim, name, counted)
     plan = BenchmarkPlan({"d": path}, [MeasureSpec(m, full_grid()) for m in bench.STRING_MEASURES],
@@ -699,16 +714,97 @@ def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
     files = {(r.measure_id, r.preprocess_config): plan.out_dir / bench._run_file_name(r) for r in runs}
 
     sentences = list(dict.fromkeys(s for p in ds.pairs for s in (p.s1, p.s2)))
+    index = {s: i for i, s in enumerate(sentences)}
     tables = {cfg: (t.lengths.tobytes(), t.ids.tobytes()) for cfg, t in token_tables(sentences, full_grid())}
     distinct = len(set(tables.values()))
     assert distinct < 48
-    assert calls == {"token_pair_scores": distinct, "levenshtein_pair_scores": distinct}
+    # Levenshtein scores each distinct pair of texts once, and a table only if it brings a new one
+    seen, new_tables = set(), 0
+    for cfg in full_grid():
+        texts = [" ".join(preprocess(s, cfg)) for s in sentences]
+        keys = {(texts[index[p.s1]], texts[index[p.s2]]) for p in ds.pairs}
+        new_tables += not keys <= seen
+        seen |= keys
+    assert calls == {"token_pair_scores": distinct, "levenshtein_pair_scores": new_tables}
+    assert set(lev_pairs) == seen and set(lev_pairs.values()) == {1}
+    assert len(seen) < distinct * len(ds.pairs)  # tables that differ share pairs
     for cfg in full_grid():
         if cfg.char_filter == "default":
             twin = replace(cfg, char_filter="biosses")
             assert tables[cfg] == tables[twin]
             for m in bench.STRING_MEASURES:
                 assert files[m, cfg.label()].read_bytes() == files[m, twin.label()].read_bytes()
+
+
+def test_pair_memo_scores_each_distinct_pair_once_per_kernel(tmp_path, monkeypatch):
+    # the first pairs come again with a full stop after each sentence: under
+    # cf=default that table differs from cf=none's, yet every one of its pairs
+    # was scored under cf=none; the other sentences are equal under every filter
+    from collections import Counter
+    from conftest import VOCAB
+    from stsbench import strsim, vecsim
+    from stsbench.core import RawSentence, SentencePair
+    base = make_dataset(np.random.default_rng(4), 12, "d")
+    ds = Dataset("d", base.pairs + tuple(SentencePair(RawSentence(p.s1.text + "."), RawSentence(p.s2.text + "."),
+                                                      p.human_score) for p in base.pairs[:4]))
+    tax_path, lex_path = _onto_files(tmp_path)
+    vrng = np.random.default_rng(3)
+    resources = Resources(vectors=vecsim.VectorModel(8, {w: vrng.normal(size=8) for w in VOCAB}),
+                          taxonomy=ontosim.load_taxonomy(tax_path), lexicon=ontosim.load_lexicon(lex_path))
+    configs = [PreprocessConfig(char_filter=cf) for cf in ("none", "default", "blagec2019")]
+    kernels = {"levenshtein": "levenshtein", "wbsm-rada": "rada", "ubsm-rada": "rada", "com": "rada",
+               "wbsm-jc": "jiang-conrath", "swem:mean": "swem:mean", "swem:max": "swem:max"}
+    scorers = [PairScorer(m, cfg, resources) for m in kernels for cfg in configs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the unannotated concept view warns
+        alone = [bench.score_runs([s], ds)[1][0][1].scores for s in scorers]
+
+    scored = Counter()  # (kernel, first sequence, second sequence)
+    lev_calls = []
+    lev, wbsm, swem = strsim.levenshtein_pair_scores, ontosim.wbsm, vecsim.swem_sim
+
+    def counted_lev(texts, pairs):
+        lev_calls.append(len(pairs))
+        scored.update(("levenshtein", texts[a], texts[b]) for a, b in pairs)
+        return lev(texts, pairs)
+
+    monkeypatch.setattr(strsim, "levenshtein_pair_scores", counted_lev)
+    monkeypatch.setattr(ontosim, "wbsm", lambda a, b, words: scored.update([(words.kind, a, b)]) or wbsm(a, b, words))
+    monkeypatch.setattr(vecsim, "swem_sim", lambda a, b, model, mode: scored.update([("swem:" + mode, a, b)])
+                        or swem(a, b, model, mode))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, runs = bench.score_runs(scorers, ds)
+
+    views = {cfg: [(preprocess(p.s1, cfg), preprocess(p.s2, cfg)) for p in ds.pairs] for cfg in configs}
+    none, default, _ = views.values()
+    assert default != none and set(default) < set(none)
+    expected = {(k, *(tuple(map(" ".join, pair)) if k == "levenshtein" else pair))
+                for k in set(kernels.values()) for cfg in configs for pair in views[cfg]}
+    assert set(scored) == expected and set(scored.values()) == {1}
+    # cf=none brings every pair, so the other tables make no Levenshtein call
+    assert lev_calls == [len(set(none))]
+    assert len(runs) == len(scorers)
+    for k, run, _, _ in runs:
+        assert np.array(run.scores).tobytes() == np.array(alone[k]).tobytes()
+
+
+def test_a_failure_after_memo_pairs_names_the_tables_pair(rng):
+    from conftest import VOCAB
+    from stsbench.core import RawSentence, SentencePair
+    # under nltk2018 pairs 0 and 2 are as under stopwords=none, so they come
+    # from the memo; pair 1 is new and scores, and pair 3, the first to fail,
+    # is the second new pair but the table's pair 3
+    pairs = list(make_dataset(rng, 6).pairs)
+    pairs[1] = SentencePair(RawSentence("the gene cell"), pairs[1].s2, 0.5)
+    pairs[3] = pairs[5] = SentencePair(RawSentence("the of and"), pairs[3].s2, 0.5)
+    ds = Dataset("d", tuple(pairs))
+    resources = Resources(taxonomy=Taxonomy(random_dag(np.random.default_rng(5), 30)),
+                          lexicon={w: frozenset({f"c{i % 30}"}) for i, w in enumerate(VOCAB)})
+    scorers = [PairScorer("wbsm-rada", PreprocessConfig(stopwords=sw), resources) for sw in ("none", "nltk2018")]
+    assert len(bench.score_runs(scorers[:1], ds)[1]) == 1
+    with pytest.raises(bench.ScoringError, match=r"^wbsm-rada failed on pair 3 of 'd': word sets must be non-empty$"):
+        bench.score_runs(scorers, ds)
 
 
 def test_equal_stage_maps_share_one_key_and_build_once(monkeypatch):

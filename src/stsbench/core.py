@@ -16,6 +16,7 @@ File formats handled here:
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import warnings
 from collections.abc import Sequence
@@ -144,7 +145,10 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
                 warned_extra = True
             if not _is_number(fields[2]):
                 raise DatasetError(f"{path}:{lineno}: score {fields[2]!r} is not a number")
-            rows.append((fields[0], fields[1], float(fields[2])))
+            score = float(fields[2])
+            if not math.isfinite(score):
+                raise DatasetError(f"{path}:{lineno}: score {fields[2]!r} is not a finite number")
+            rows.append((fields[0], fields[1], score))
     if not rows:
         raise DatasetError(f"{path}: no sentence pairs")
     scores = [r[2] for r in rows]

@@ -325,8 +325,12 @@ def _split(sentences: Sequence[RawSentence], ner: str, vocab: _Vocabulary) -> _S
     split = [tokenize(_text(s, ner), "whitespace") for s in sentences]
     lengths = np.fromiter(map(len, split), np.int64, len(split))
     ids = vocab.ids(list(itertools.chain.from_iterable(split)))
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    return _Split(lengths, distinct, inverse, hashlib.sha256(np.concatenate([lengths, ids])).digest())
+    # the distinct ids in ascending order and each id's index among them:
+    # np.unique's arrays, from a presence mask over the vocabulary (no sort)
+    present = np.zeros(len(vocab.tokens), bool)
+    present[ids] = True
+    return _Split(lengths, np.flatnonzero(present), (np.cumsum(present) - 1)[ids],
+                  hashlib.sha256(np.concatenate([lengths, ids])).digest())
 
 
 class _IdMap:
@@ -345,7 +349,9 @@ class _IdMap:
         grow = len(self._vocab.tokens) - len(self._count)
         self._count = np.concatenate([self._count, np.full(grow, -1, np.int64)])
         self._start = np.concatenate([self._start, np.zeros(grow, np.int64)])
-        new = np.unique(ids[self._count[ids] < 0]).tolist()
+        present = np.zeros(len(self._count), bool)
+        present[ids] = True
+        new = np.flatnonzero(present & (self._count < 0)).tolist()
         if not new:
             return
         outs = self._stage([self._vocab.tokens[i] for i in new])

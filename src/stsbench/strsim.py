@@ -7,8 +7,12 @@ empty input: an empty token sequence scores 0.0 against a non-empty one and
 :func:`token_pair_scores` scores the five token measures (block, liblock,
 jaccard, overlap and token q-gram) for every pair of a token table at once.
 It reads the table as token ids (as :func:`stsbench.preprocess.token_tables`
-builds it), matches each pair's sorted token and trigram keys and applies
-the empty-input rule as a mask. :func:`pair_scores` scores one pair of token
+builds it) and renumbers them ``0..U-1`` with a presence mask, U padding
+short trigrams. Each key family, token ids and then trigrams, is matched
+for all pairs by one ``np.sort`` of ``(pair, key, side)`` packed into an
+int64 and run-length arithmetic over the sorted keys; where trigram keys
+would not pack into int64, they are numbered first. The empty-input rule
+is a mask. :func:`pair_scores` scores one pair of token
 sequences the same way. :func:`levenshtein_pair_scores` scores Levenshtein
 for every pair of a table of texts at once, each text being a sequence's
 tokens joined by spaces, and :func:`levenshtein_sim` one pair of token
@@ -22,51 +26,76 @@ from collections.abc import Sequence
 import numpy as np
 
 
-def _trigrams(ids: np.ndarray, rows: np.ndarray, lengths: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each sequence's token trigrams as ``(sequence, trigram id)`` arrays;
-    ``ids[k]`` is a token of sequence ``rows[k]``, sequences being consecutive
-    and ``lengths`` long.
+# every packed key is below 2 * pairs * width, which must not pass 2**63
+_KEY_BOUND = 2**63
+
+
+def _local_ids(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, int]:
+    """``ids``, each in ``range(vocab_size)``, renumbered ``0..U-1`` in id
+    order, and U, their number of distinct ids: a presence mask over the
+    vocabulary and its cumulative sum, with no sort."""
+    present = np.zeros(vocab_size, bool)
+    present[ids] = True
+    return (np.cumsum(present) - 1)[ids], int(np.count_nonzero(present))
+
+
+def _trigrams(ids: np.ndarray, lengths: np.ndarray, pad: int, n_pairs: int) -> tuple[np.ndarray, int]:
+    """The keys of each sequence's token trigrams, in sequence order, and
+    their width; ``ids`` holds the sequences, ``lengths`` long, one after the
+    other, each id below ``pad``.
 
     A sequence of L >= 3 tokens has L - 2 trigrams, and one of 1 or 2 tokens
-    one shingle padded with ``pad``, an id no token has. Trigrams are keyed
-    by compact integer ids, a bigram id first and then a trigram id.
+    one shingle padded with ``pad``, an id no token has. Trigram ``(a, b, c)``
+    is keyed ``(a * W + b) * W + c``, W being ``pad + 1``, unless ``n_pairs``
+    pairs of such keys would not pack into int64 (:func:`_matched`): then
+    the trigrams are numbered by one ``np.unique``.
     """
+    rows = np.repeat(np.arange(len(lengths)), lengths)
     # each sequence is followed by two pad ids in ``padded``
     place = np.arange(len(ids)) + 2 * rows
     padded = np.full(len(ids) + 2 * len(lengths), pad, np.int64)
     padded[place] = ids
     # a shingle starts at each of the first max(L - 2, min(L, 1)) tokens
     in_sequence = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    opens = in_sequence < np.maximum(lengths - 2, np.minimum(lengths, 1))[rows]
-    at, width = place[opens], pad + 1
-    bigram = np.unique(padded[at] * width + padded[at + 1], return_inverse=True)[1]
-    return rows[opens], np.unique(bigram * width + padded[at + 2], return_inverse=True)[1]
+    at = place[in_sequence < np.maximum(lengths - 2, np.minimum(lengths, 1))[rows]]
+    width = pad + 1
+    if 2 * n_pairs * width**3 <= _KEY_BOUND:
+        return (padded[at] * width + padded[at + 1]) * width + padded[at + 2], width**3
+    distinct, keys = np.unique(np.stack([padded[at], padded[at + 1], padded[at + 2]], 1), axis=0, return_inverse=True)
+    return keys.reshape(-1), len(distinct)
 
 
-def _shared(rows: np.ndarray, keys: np.ndarray, n_rows: int, left: np.ndarray, right: np.ndarray):
-    """Each sequence's number of distinct keys, and for each pair ``(left[p],
-    right[p])`` the number of distinct keys both sequences hold and the sum
-    over them of the smaller count; ``keys[k]`` is a key of sequence ``rows[k]``.
+def _matched(keys: np.ndarray, sizes: np.ndarray, width: int, left: np.ndarray, right: np.ndarray):
+    """For each pair ``(left[p], right[p])`` of sequences: each side's number
+    of distinct keys, the number of distinct keys both sides hold and the
+    sum over them of the smaller count; sequence i is the next ``sizes[i]``
+    of ``keys``, each key in ``range(width)``.
 
-    Each sequence's keys are sorted and counted once; a pair's keys are
-    numbered by pair, so one sorted intersection matches every pair at once.
+    Pair p's keys are packed as ``(p * width + key) * 2 + side``, side 0 for
+    its left sequence and 1 for its right, and sorted with one ``np.sort``.
+    A run of equal values is one key of one side, its length the key's
+    count; a key both sides hold is two adjacent runs that differ only in
+    the side bit.
     """
-    width = int(keys.max(initial=-1)) + 1
-    distinct, counts = np.unique(rows * width + keys, return_counts=True)
-    start = np.searchsorted(distinct, np.arange(n_rows + 1) * width)
+    if 2 * len(left) * width > _KEY_BOUND:
+        raise OverflowError(f"{len(left)} pairs of keys below {width} do not pack into int64")
+    starts = np.cumsum(sizes) - sizes
 
-    def side(seqs):
-        size = start[seqs + 1] - start[seqs]
-        pair = np.repeat(np.arange(len(seqs)), size)
-        at = np.arange(size.sum()) + np.repeat(start[seqs] - (np.cumsum(size) - size), size)
-        return pair, distinct[at] % width + pair * width, counts[at]
+    def side(seqs, bit):
+        size = sizes[seqs]
+        at = np.arange(size.sum()) + np.repeat(starts[seqs] - (np.cumsum(size) - size), size)
+        return (np.repeat(np.arange(len(seqs)) * width, size) + keys[at]) * 2 + bit
 
-    pair, k1, c1 = side(left)
-    _, k2, c2 = side(right)
-    _, i, j = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
-    # the weighted sums are float64, exact for integer counts below 2**53
-    return (np.diff(start), np.bincount(pair[i], minlength=len(left)),
-            np.bincount(pair[i], np.minimum(c1[i], c2[j]), len(left)))
+    packed = np.sort(np.concatenate([side(left, 0), side(right, 1)]))
+    first = np.flatnonzero(np.diff(packed, prepend=-1))  # packed keys are >= 0
+    runs, counts = packed[first], np.diff(first, append=len(packed))
+    owner = runs >> 1  # p * width + key
+    distinct = np.bincount(owner // width * 2 + (runs & 1), minlength=2 * len(left)).reshape(-1, 2)
+    both = np.flatnonzero(owner[1:] == owner[:-1])
+    pair = owner[both] // width
+    # the weighted sum is float64, exact for integer counts below 2**53
+    return (distinct[:, 0], distinct[:, 1], np.bincount(pair, minlength=len(left)),
+            np.bincount(pair, np.minimum(counts[both], counts[both + 1]), len(left)))
 
 
 def token_pair_scores(ids: np.ndarray, lengths: np.ndarray, vocab_size: int, pairs) -> dict[str, np.ndarray]:
@@ -86,15 +115,24 @@ def token_pair_scores(ids: np.ndarray, lengths: np.ndarray, vocab_size: int, pai
     mean of block and liad, or block alone where the word sets are disjoint;
     jaccard is |S1 & S2| / |S1 | S2| and overlap |S1 & S2| / min(|S1|, |S2|);
     qgram is the Dice coefficient over the multisets of token trigrams.
-    """
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    left, right = np.asarray(pairs, np.intp).reshape(-1, 2).T
-    distinct, inter, common = _shared(rows, ids, len(lengths), left, right)
-    shingle_rows, trigrams = _trigrams(ids, rows, lengths, pad=vocab_size)
-    _, _, q_inter = _shared(shingle_rows, trigrams, len(lengths), left, right)
-    n_shingles = np.bincount(shingle_rows, minlength=len(lengths))
 
-    n1, n2, u1, u2 = lengths[left], lengths[right], distinct[left], distinct[right]
+    The ids are renumbered ``0..U-1`` for the table, with no sort, and U
+    pads the one shingle of a sequence of 1 or 2 tokens. The token ids and
+    then the trigrams, keyed ``(a * W + b) * W + c`` with W = U + 1, are
+    matched by :func:`_matched`: one ``np.sort`` of every pair's keys
+    packed as ``(pair * width + key) * 2 + side``. Packed keys are below
+    ``2 * pairs * width``, which must fit int64: trigram keys that would
+    not are numbered by one ``np.unique`` first, and keys that still would
+    not raise :class:`OverflowError`.
+    """
+    left, right = np.asarray(pairs, np.intp).reshape(-1, 2).T
+    ids, pad = _local_ids(ids, vocab_size)
+    u1, u2, inter, common = _matched(ids, lengths, pad + 1, left, right)
+    trigrams, width = _trigrams(ids, lengths, pad, len(left))
+    n_shingles = np.maximum(lengths - 2, np.minimum(lengths, 1))
+    q_inter = _matched(trigrams, n_shingles, width, left, right)[3]
+
+    n1, n2 = lengths[left], lengths[right]
     with np.errstate(divide="ignore", invalid="ignore"):
         block = 1.0 - (n1 + n2 - 2 * common) / (n1 + n2)
         liad = np.minimum(1.0, inter / (np.sqrt(u1) * np.sqrt(u2)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(_write(tmp_path, "a\tb\t0.1\nc\td\tNaNope\n", "n.tsv"))
     with pytest.raises(DatasetError, match="no sentence pairs"):
         load_dataset(_write(tmp_path, "s1\ts2\tscore\n", "empty.tsv"))
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_load_dataset_rejects_non_finite_scores(tmp_path, score):
+    # the error names the file and line, before any min-max normalization
+    # (which would warn about a column from [1.0, inf] and then fail on nan)
+    p = _write(tmp_path, f"a\tb\t2\nc\td\t{score}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match=rf"data\.tsv:2: score '{score}' is not a finite number"):
+            load_dataset(p)
+    # a non-finite score on the first line is a data row, not a header
+    with pytest.raises(DatasetError, match=":1: .* is not a finite number"):
+        load_dataset(_write(tmp_path, f"a\tb\t{score}\n"))
 
 
 def test_dataset_round_trip(tmp_path):

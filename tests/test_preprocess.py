@@ -253,6 +253,32 @@ def test_token_tables_call_each_stage_once_per_distinct_input(monkeypatch):
     assert len(filtered) == len(set(filtered)) > 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(first=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join), max_size=6),
+       second=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join), max_size=6))
+@example(first=["The of", "cell x."], second=["", "x. of The AND", "cell"])
+def test_split_and_id_maps_number_like_unique(first, second):
+    # the presence masks give np.unique's arrays, and an id map runs its
+    # stage on the ids it has not seen in ascending id order; ``first``
+    # numbers tokens before ``second`` is split, so its ids are sparse
+    from stsbench.preprocess import _IdMap, _split, _Vocabulary
+    vocab, batches = _Vocabulary(), []
+    lower = _IdMap(lambda batch: batches.append(batch) or [(t.lower(),) for t in batch], vocab)
+    seen: set[int] = set()
+    for texts in (first, second):
+        split = _split([RawSentence(t) for t in texts], "none", vocab)
+        ids = vocab.ids([t for text in texts for t in text.split()])
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        assert np.array_equal(split.distinct, distinct) and np.array_equal(split.inverse, inverse)
+        assert split.distinct.dtype == distinct.dtype and split.inverse.dtype == inverse.dtype
+        new = sorted(set(ids.tolist()) - seen)
+        mapped, lengths = lower(ids, split.lengths)
+        assert batches.pop() == [vocab.tokens[i] for i in new] if new else not batches
+        seen.update(new)
+        assert [vocab.tokens[i] for i in mapped] == [t.lower() for text in texts for t in text.split()]
+        assert np.array_equal(lengths, split.lengths)
+
+
 # tokens as the whitespace split gives them, with the characters that a
 # batched stage could get wrong: a capital sigma, whose lower case depends
 # on the letters around it, İ, which lower-cases to two code points, "_" and

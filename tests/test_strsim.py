@@ -21,6 +21,7 @@ from conftest import (
     random_tokens,
     token_profile,
 )
+from stsbench import strsim
 from stsbench.ontosim import EmptyInputError, semantic_vector_sim
 from stsbench.strsim import (
     levenshtein_distance,
@@ -261,6 +262,60 @@ def test_token_pair_scores_equal_the_kernels_bit_for_bit(table, vocab):
         for (i, j), got in zip(pairs, scores[measure]):
             want = by_empty_rule(kernel, table[i], table[j])
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (measure, table[i], table[j])
+
+
+_SPARSE_VOCAB = 2**20
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.lists(st.lists(st.sampled_from(_TOKENS), max_size=5).map(tuple), min_size=1, max_size=8),
+       ids=st.lists(st.integers(0, _SPARSE_VOCAB - 1), min_size=len(_TOKENS), max_size=len(_TOKENS), unique=True),
+       pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=24),
+       numbered=st.booleans())
+@example(table=[("a",), ("a", "b"), ("b", "a", "c"), ("a", "b")], ids=[0, 1, 2, 3, 4],
+         pairs=[(0, 1), (1, 0), (1, 1), (1, 3), (3, 1), (2, 2), (0, 0), (2, 1)], numbered=False)
+@example(table=[("a",), ("a", "b"), ("b", "a", "c"), ("a", "b")], ids=[_SPARSE_VOCAB - 1, 7, 2**19, 0, 5],
+         pairs=[(0, 1), (1, 0), (1, 1), (1, 3), (3, 1), (2, 2), (0, 0), (2, 1)], numbered=True)
+@example(table=[("a", "a"), ("a",), ()], ids=[3, 0, 1, 2, 4], pairs=[(0, 1), (1, 0), (0, 0), (2, 0)],
+         numbered=True)
+def test_token_pair_scores_on_sparse_ids_and_shared_sequences(table, ids, pairs, numbered):
+    # ids spread over a large vocabulary, which the kernel renumbers per
+    # table; pairs in any order and number (pair k reads sequences modulo
+    # the table's length), so a sequence sits in several pairs and on both
+    # sides, and pairs (i, i); with ``numbered`` the int64 bound is lowered
+    # so that the table's trigrams are numbered before they are packed
+    pairs = [(i % len(table), j % len(table)) for i, j in pairs]
+    index = dict(zip(_TOKENS, ids))
+    flat = np.array([index[t] for seq in table for t in seq], np.int64)
+    lengths = np.array([len(seq) for seq in table], np.int64)
+    width = len(set(flat.tolist())) + 1  # table-local ids and the pad
+    numbered = numbered and len(flat) > 0
+    widths, trigrams_of = [], strsim._trigrams
+
+    def trigrams(*args):
+        keys, key_width = trigrams_of(*args)
+        widths.append(key_width)
+        return keys, key_width
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strsim, "_trigrams", trigrams)
+        if numbered:
+            mp.setattr(strsim, "_KEY_BOUND", 2 * len(pairs) * width**3 - 1)
+        scores = token_pair_scores(flat, lengths, _SPARSE_VOCAB, pairs)
+    assert (widths != [width**3]) == numbered
+    for measure, kernel in TOKEN_KERNELS.items():
+        assert scores[measure].shape == (len(pairs),)
+        for (i, j), got in zip(pairs, scores[measure]):
+            want = by_empty_rule(kernel, table[i], table[j])
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (measure, table[i], table[j], numbered)
+
+
+def test_token_pair_scores_refuse_keys_past_int64(monkeypatch):
+    # packed keys are below 2 * pairs * width; past the bound the kernel
+    # raises rather than let int64 wrap
+    monkeypatch.setattr(strsim, "_KEY_BOUND", 2 * 2 * 3 - 1)
+    with pytest.raises(OverflowError, match="do not pack into int64"):
+        token_pair_scores(*id_table([("a",), ("b",)], ["a", "b"]), [(0, 1), (1, 0)])
 
 
 @settings(max_examples=300, deadline=None)

@@ -404,7 +404,10 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     dataset's runs are scored first; then its statistics and raw-score text
     come from its score matrix, a row per distinct scores list
     (:func:`report_rows`, :func:`core.raw_scores_texts`), and each config
-    still writes its file and warns under its own label.
+    still has its own file and warns under its own label. The file of a run
+    whose row an earlier run of the dataset wrote is a hard link to that
+    earlier file (:func:`core.write_raw_scores`): creating a file costs far
+    more than linking one, whatever its size.
     """
     scorers = validate_plan(plan)
     datasets = load_plan_datasets(plan)
@@ -415,8 +418,11 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
         matrix, runs = score_runs(scorers, dataset)
         rows = report_rows(matrix, runs, dataset.human_scores())
         texts = raw_scores_texts(matrix)
+        written: dict[int, Path] = {}  # matrix row -> the first file written with its text
         for (k, result, i, _), (row,) in zip(runs, rows):
-            write_raw_scores(result, out_dir / _run_file_name(result), texts[i])
+            path = out_dir / _run_file_name(result)
+            write_raw_scores(result, path, texts[i], written.get(i))
+            written.setdefault(i, path)
             done[k, name] = result, row
     ordered = [done[k, name] for k in range(len(scorers)) for name in datasets]
     return [result for result, _ in ordered], EvalReport([row for _, row in ordered])

@@ -195,9 +195,13 @@ def _cmd_significance(args) -> int:
     scorers = bench.validate_plan(plan)
     dataset = _single_dataset(plan)
     most = len(dataset) // 2
-    if args.splits < 1:
-        raise PlanError(f"--splits {args.splits} is too few: it must be at least 1, "
-                        f"and at most {most} for dataset {dataset.name!r} of {len(dataset)} pairs")
+    if most < 2:
+        raise PlanError(f"dataset {dataset.name!r} of {len(dataset)} pairs is too small for a significance "
+                        "test: a paired t-test needs at least 2 splits of at least 2 pairs each")
+    if args.splits < 2:
+        raise PlanError(f"--splits {args.splits} is too few: a paired t-test needs at least 2 split "
+                        f"scores, so it must be at least 2, and at most {most} for dataset "
+                        f"{dataset.name!r} of {len(dataset)} pairs")
     if args.splits > most:
         raise PlanError(f"--splits {args.splits} is too many for dataset {dataset.name!r} "
                         f"of {len(dataset)} pairs: each split needs at least 2 pairs, "

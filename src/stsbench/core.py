@@ -10,7 +10,9 @@ File formats handled here:
   UTF-8, a leading byte-order mark skipped.
 * Raw-score CSV: header ``pair_index,score``, one row per pair, CRLF line
   ends (the ``csv`` module's default), scores rendered with 17 significant
-  digits so that a read/write round trip is bit-exact.
+  digits so that a read/write round trip is bit-exact. Runs of one dataset
+  with equal scores may share one file through hard links
+  (:func:`write_raw_scores`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -265,11 +268,25 @@ def raw_scores_texts(scores: np.ndarray) -> list[str]:
             for row in texts[cell.reshape(scores.shape)].tolist()]
 
 
-def write_raw_scores(run: BenchmarkRun, path: str | Path, text: str) -> None:
+def write_raw_scores(run: BenchmarkRun, path: str | Path, text: str, like: str | Path | None = None) -> None:
     """Write a run's raw-score CSV, ``text`` being its
-    :func:`raw_scores_texts` row (equal to ``raw_scores_text(run.scores)``)."""
+    :func:`raw_scores_texts` row (equal to ``raw_scores_text(run.scores)``).
+
+    A file already at ``path`` is unlinked first, so that a file hard-linked
+    to it keeps its bytes. ``like`` names a file already written with this
+    very ``text``: ``path`` then becomes a hard link to it, which allocates
+    no new inode, and where the file system refuses the link the text is
+    written as usual.
+    """
     path = Path(path)
     try:
+        path.unlink(missing_ok=True)
+        if like is not None:
+            try:
+                os.link(like, path)
+                return
+            except OSError:
+                pass
         with path.open("w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .core import BenchmarkRun, Dataset
 
@@ -189,6 +188,7 @@ def paired_ttest_one_sided(sample_a, sample_b) -> float:
         raise DegenerateDataError("paired differences have zero or undefined variance")
     n = len(d)
     t = float(np.mean(d)) / (sd / np.sqrt(n))
+    from scipy.special import stdtr  # here, so that only the t-tests load scipy
     return float(stdtr(n - 1, -t))  # the t distribution's survival function at t
 
 

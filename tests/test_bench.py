@@ -458,15 +458,26 @@ def test_significance_rejects_one_pair_splits_before_scoring(tmp_path, capsys, m
     assert (tmp_path / "out" / "significance.csv").is_file()
 
 
-@pytest.mark.parametrize("splits", ["0", "-1"])
+@pytest.mark.parametrize("splits", ["1", "0", "-1"])
 def test_significance_rejects_fewer_than_one_split_before_scoring(tmp_path, capsys, monkeypatch, splits):
     path = tmp_path / "d.tsv"
     write_dataset(make_dataset(np.random.default_rng(0), 20), path)
     monkeypatch.setattr(bench, "score_runs", lambda *a: pytest.fail("scored before the --splits check"))
     assert cli.main(["significance", "--dataset", f"d={path}", "--measure", "jaccard",
                      "--splits", splits, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == (f"error: --splits {splits} is too few: it must be at least 1, "
-                                       "and at most 10 for dataset 'd' of 20 pairs\n")
+    assert capsys.readouterr().err == (f"error: --splits {splits} is too few: a paired t-test needs at least "
+                                       "2 split scores, so it must be at least 2, and at most 10 for "
+                                       "dataset 'd' of 20 pairs\n")
+
+
+def test_significance_rejects_a_dataset_too_small_to_split(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 3), path)
+    monkeypatch.setattr(bench, "score_runs", lambda *a: pytest.fail("scored before the --splits check"))
+    assert cli.main(["significance", "--dataset", f"d={path}", "--measure", "jaccard",
+                     "--splits", "1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: dataset 'd' of 3 pairs is too small for a significance test: "
+                                       "a paired t-test needs at least 2 splits of at least 2 pairs each\n")
 
 
 def test_significance_warns_once_per_dataset(tmp_path, rng):
@@ -734,6 +745,79 @@ def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
             assert tables[cfg] == tables[twin]
             for m in bench.STRING_MEASURES:
                 assert files[m, cfg.label()].read_bytes() == files[m, twin.label()].read_bytes()
+
+
+def _grid_files(plan: BenchmarkPlan) -> dict[tuple[str, str, str], tuple[Path, str, int]]:
+    """Run a plan: for each (dataset, measure, config label), the run's
+    raw-score file, its text and the row of its dataset's score matrix."""
+    from stsbench.core import raw_scores_text
+    runs, _ = bench.run(plan)
+    scorers = validate_plan(plan)
+    rows = {}
+    for name, ds in bench.load_plan_datasets(plan).items():
+        rows.update({(name, k): row for k, _, row, _ in bench.score_runs(scorers, ds)[1]})
+    order = [(k, name) for k in range(len(scorers)) for name in plan.datasets]
+    return {(name, run.measure_id, run.preprocess_config):
+            (plan.out_dir / bench._run_file_name(run), raw_scores_text(run.scores), rows[name, k])
+            for (k, name), run in zip(order, runs)}
+
+
+def _linked_grid_plan(tmp_path, measures=bench.STRING_MEASURES) -> BenchmarkPlan:
+    # no symbol that only cf=biosses deletes, so cf=default and cf=biosses share rows
+    rng = np.random.default_rng(3)
+    paths = {}
+    for name, n in (("a", 15), ("b", 10)):
+        paths[name] = tmp_path / f"{name}.tsv"
+        write_dataset(_marked_dataset(rng, n, name, ("The {}.", "{}-binding, not [x]", "{}")), paths[name])
+    return BenchmarkPlan(paths, [MeasureSpec(m, full_grid()) for m in measures], out_dir=tmp_path / "out")
+
+
+def test_grid_links_the_files_of_one_score_row(tmp_path):
+    files = _grid_files(_linked_grid_plan(tmp_path))
+    assert len(files) == 2 * 6 * 48
+    inodes = {}  # (dataset, row) -> the inodes of its files
+    for (name, _, _), (path, text, row) in files.items():
+        assert path.read_bytes() == text.encode()
+        inodes.setdefault((name, row), set()).add(path.stat().st_ino)
+    # one inode per row of a dataset, none shared by two rows or two datasets
+    assert all(len(group) == 1 for group in inodes.values())
+    assert len(set().union(*inodes.values())) == len(inodes) < len(files)
+
+
+def test_rewriting_an_out_dir_never_writes_through_a_link(tmp_path):
+    from dataclasses import replace
+    plan = _linked_grid_plan(tmp_path, ("qgram",))
+    first = _grid_files(plan)
+    cfg = next(c for c in full_grid() if c.char_filter == "biosses" and c.tokenizer == "treebank-rules")
+    twin, default = (first["a", "qgram", c.label()][0] for c in (cfg, replace(cfg, char_filter="default")))
+    assert twin.stat().st_ino == default.stat().st_ino
+    before = {path: path.read_bytes() for path, _, _ in first.values()}
+    # dataset a again, now with '%' in its text, a token that only cf=biosses deletes
+    write_dataset(_marked_dataset(np.random.default_rng(4), 15, "a"), plan.datasets["a"])
+    only_a = replace(plan, datasets={"a": plan.datasets["a"]})
+    second = _grid_files(replace(only_a, measures=[MeasureSpec("qgram", [cfg])]))
+    [(path, text, _)] = second.values()
+    assert path == twin and twin.read_bytes() == text.encode() != before[twin]
+    # the file that shared twin's inode keeps its bytes, as does every other
+    assert all(path.read_bytes() == data for path, data in before.items() if path != twin)
+    for path, text, _ in _grid_files(only_a).values():
+        assert path.read_bytes() == text.encode()
+    assert default.read_bytes() != twin.read_bytes()
+
+
+def test_grid_without_hard_links_writes_the_same_bytes(tmp_path, monkeypatch):
+    import errno
+    from dataclasses import replace
+    plan = _linked_grid_plan(tmp_path)
+    linked = [path for path, _, _ in _grid_files(plan).values()]
+
+    def refuse(*args):
+        raise OSError(errno.EPERM, "operation not permitted")
+    monkeypatch.setattr(os, "link", refuse)
+    copied = [path for path, _, _ in _grid_files(replace(plan, out_dir=tmp_path / "copied")).values()]
+    assert [p.name for p in copied] == [p.name for p in linked]
+    assert [p.read_bytes() for p in copied] == [p.read_bytes() for p in linked]
+    assert len({p.stat().st_ino for p in copied}) == len(copied)
 
 
 def test_pair_memo_scores_each_distinct_pair_once_per_kernel(tmp_path, monkeypatch):

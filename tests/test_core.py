@@ -187,6 +187,26 @@ def test_raw_scores_round_trip_bit_exact(tmp_path):
     assert back == run
 
 
+def test_write_raw_scores_links_like_and_unlinks_first(tmp_path):
+    run = BenchmarkRun("d", "block", "cfg", (0.5, 1 / 3))
+    text = raw_scores_text(run.scores)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_raw_scores(run, first, text)
+    write_raw_scores(run, second, text, like=first)
+    assert second.stat().st_ino == first.stat().st_ino
+    # a rewrite replaces the file under its name and leaves the linked one as it was
+    other = BenchmarkRun("d", "block", "cfg", (0.25, 0.75))
+    write_raw_scores(other, second, raw_scores_text(other.scores))
+    assert second.stat().st_ino != first.stat().st_ino
+    assert read_raw_scores(first, "d", "block", "cfg") == run
+    assert read_raw_scores(second, "d", "block", "cfg") == other
+    # a link that cannot be made is a plain write; a write that fails names the path
+    write_raw_scores(run, tmp_path / "third.csv", text, like=tmp_path / "missing.csv")
+    assert (tmp_path / "third.csv").read_bytes() == text.encode()
+    with pytest.raises(DatasetError, match="cannot write raw scores to .*nodir"):
+        write_raw_scores(run, tmp_path / "nodir" / "x.csv", text, like=first)
+
+
 def test_raw_scores_texts_render_each_float_by_its_bits(tmp_path):
     # 0.0 == -0.0, so a render keyed on the value gives one of them the other's text
     tiny = 5e-324

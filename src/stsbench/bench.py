@@ -31,10 +31,6 @@ class PlanError(ValueError):
     """Invalid benchmark plan or unresolvable resource."""
 
 
-class ScoringError(RuntimeError):
-    """A measure failed on a pair; the message names the measure, pair and dataset."""
-
-
 # measure id -> (family, how it is computed). "string": "ids" for the five
 # token measures, which ``score_runs`` scores a table at a time from its ids
 # by ``strsim.token_pair_scores``, and "text" for Levenshtein, scored through
@@ -42,7 +38,7 @@ class ScoringError(RuntimeError):
 # tokens joined by spaces. "ontology": the word-similarity kind and the NER
 # modes of the token views it reads; UBSM is WBSM over the concept-substituted
 # view, COM averages the two. "swem": the pooling mode. The ontology and SWEM
-# measures are scored pair by pair through the pair memo.
+# measures are scored through the pair memo too.
 MEASURES = {
     "qgram": ("string", "ids"), "jaccard": ("string", "ids"),
     "block": ("string", "ids"), "liblock": ("string", "ids"),
@@ -83,9 +79,10 @@ class PairScorer:
 
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
-    measures (both for ``com``). ``score_tokens`` scores a pair's tokens of
-    one view; it is None for the string measures, which have batch kernels.
-    ``com`` is WBSM over each of its views, combined by :func:`score_runs`.
+    measures (both for ``com``). ``score_pairs`` scores a list of pairs of
+    non-empty token sequences of one view; it is None for the five token
+    measures, which have a table kernel. ``com`` is WBSM over each of its
+    views, combined by :func:`score_runs`.
     ``kernel`` names what the measure computes on one view, and keys both of
     :func:`score_runs`' memos: the word-similarity kind for the WBSM-based
     measures (``wbsm-*``, ``ubsm-*`` and ``com``), which share it, and the
@@ -103,19 +100,27 @@ class PairScorer:
         self.kernel = measure_id
         family, how = MEASURES[measure_id]
         if family == "string":
-            self.score_tokens = None
+            self.score_pairs = None if how == "ids" else _levenshtein_pairs
         elif family == "swem":
             vectors = resources.vectors
             if vectors is None:
                 raise PlanError(f"measure {measure_id!r} requires a word-vector model")
-            self.score_tokens = lambda t1, t2: vecsim.rescale_signed(vecsim.swem_sim(t1, t2, vectors, how))
+            self.score_pairs = lambda pairs: [vecsim.rescale_signed(vecsim.swem_sim(a, b, vectors, how))
+                                              for a, b in pairs]
         else:
             if resources.taxonomy is None or resources.lexicon is None:
                 raise PlanError(f"measure {measure_id!r} requires a taxonomy and lexicon")
             self.kernel, ners = how
             words = resources.word_measure(self.kernel)
             self.views = tuple(replace(config, ner=ner) for ner in ners)
-            self.score_tokens = lambda a, b: ontosim.wbsm(a, b, words)
+            self.score_pairs = lambda pairs: [ontosim.wbsm(a, b, words) for a, b in pairs]
+
+
+def _levenshtein_pairs(pairs: list[tuple[TokenSequence, TokenSequence]]) -> list[float]:
+    """Levenshtein of each pair, by one call on the texts of their distinct sequences."""
+    at = {s: i for i, s in enumerate(dict.fromkeys(seq for pair in pairs for seq in pair))}
+    texts = [" ".join(s) for s in at]
+    return strsim.levenshtein_pair_scores(texts, [(at[a], at[b]) for a, b in pairs]).tolist()
 
 
 @dataclass
@@ -145,6 +150,9 @@ def validate_plan(plan: BenchmarkPlan) -> list[PairScorer]:
     if not plan.measures:
         raise PlanError("plan names no measures")
     for name, path in plan.datasets.items():
+        # the name is the first part of each raw-score file name in out_dir
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise PlanError(f"dataset name {name!r} is not one file-name component")
         if not Path(path).is_file():
             raise PlanError(f"dataset {name!r}: no such file {path}")
     for name, path in plan.annotations.items():
@@ -186,8 +194,9 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
     """Score a dataset with every scorer: its float64 score matrix, a row
     per distinct scores list and a column per pair, and the runs as
     ``(scorer index, run, row, empty)`` in the order they were scored,
-    ``empty`` being the number of pairs that a string measure scored by the
-    empty-input rule (0 for the other measures).
+    ``empty`` being the number of pairs scored by the empty-input rule of
+    every measure (:func:`_memo_row`); ``com`` counts a pair empty in either
+    of its views.
 
     Each distinct sentence is pre-processed through :func:`token_tables`,
     in grid order, and every scorer reading a config scores its table in the
@@ -196,7 +205,7 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
     (kernel, :attr:`TokenTable.key`) to a matrix row and every config with
     that key gets the very same row. The key is a sha256 of the table's
     whitespace split and its composed stage map, so a table whose key was
-    seen is neither expanded to ids nor scored again; its empty-input count
+    seen is neither expanded to ids nor scored again; its empty-pair mask
     is kept per key too. Ids are numbered per call, so the memo lives for
     one call. The kernel is :attr:`PairScorer.kernel`, so a table that
     ``wbsm-rada``, ``ubsm-rada`` and ``com`` all read is scored once.
@@ -229,64 +238,55 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
             readers.setdefault(view, []).append(k)
     memo: dict[tuple[str, bytes], int] = {}  # (kernel, table key) -> row
     pair_memo: dict[str, dict] = {}  # kernel -> (token sequence, token sequence) -> score
-    empties: dict[bytes, int] = {}  # table key -> pairs with an empty side
+    empties: dict[bytes, np.ndarray] = {}  # table key -> mask of the pairs with an empty side
     rows: list[np.ndarray] = []
-    view_rows: dict[int, dict[PreprocessConfig, int]] = {}  # com's rows of the views scored so far
-    runs: list[tuple[int, int, int]] = []
+    view_rows: dict[int, dict[PreprocessConfig, tuple[int, np.ndarray]]] = {}  # com's views so far: row, mask
+    runs: list[tuple[int, int, np.ndarray]] = []  # (scorer index, row, empty-pair mask)
     for cfg, table in token_tables(list(ids), readers):
         key = table.key
         if key not in empties:
-            empties[key] = np.count_nonzero(table.lengths[pair_index].min(axis=1) == 0)
-        empty = empties[key]
+            empties[key] = table.lengths[pair_index].min(axis=1) == 0
         batch = token_pairs = None
         for k in readers[cfg]:
-            scorer = scorers[k]
-            family, how = MEASURES[scorer.measure_id]
+            scorer, empty = scorers[k], empties[key]
             row = memo.get((scorer.kernel, key))
             if row is None:
-                if how == "ids":
+                if scorer.score_pairs is None:
                     batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
                     rows.append(batch[scorer.measure_id])
                 else:
                     if token_pairs is None:
                         tokens = table.tokens
                         token_pairs = [(tokens[a], tokens[b]) for a, b in pairs]
-                    scored = pair_memo.setdefault(scorer.kernel, {})
-                    rows.append(_memo_row(scorer, dataset.name, token_pairs, scored))
+                    rows.append(_memo_row(scorer, token_pairs, pair_memo.setdefault(scorer.kernel, {})))
                 row = memo[scorer.kernel, key] = len(rows) - 1
             if len(scorer.views) > 1:
                 done = view_rows.setdefault(k, {})
-                done[cfg] = row
+                done[cfg] = row, empty
                 if len(done) < len(scorer.views):
                     continue
-                rows.append(ontosim.com(*(rows[done[v]] for v in scorer.views)))
-                row = len(rows) - 1
-            runs.append((k, row, empty if family == "string" else 0))
+                rows.append(ontosim.com(*(rows[done[v][0]] for v in scorer.views)))
+                row, empty = len(rows) - 1, np.any([done[v][1] for v in scorer.views], axis=0)
+            runs.append((k, row, empty))
     matrix = np.array(rows, dtype=np.float64)
     scores = [tuple(r) for r in matrix.tolist()]
     return matrix, [(k, BenchmarkRun(dataset.name, scorers[k].measure_id, scorers[k].config.label(), scores[row]),
-                     row, empty) for k, row, empty in runs]
+                     row, np.count_nonzero(empty)) for k, row, empty in runs]
 
 
-def _memo_row(scorer: PairScorer, name: str, pairs: list[tuple[TokenSequence, TokenSequence]],
+def _memo_row(scorer: PairScorer, pairs: list[tuple[TokenSequence, TokenSequence]],
               memo: dict[tuple[TokenSequence, TokenSequence], float]) -> np.ndarray:
     """The scorer's score of each pair of token sequences, read from
     ``memo``, the scores of its kernel so far. The pairs that the memo lacks
     are scored first, so a pair that an earlier table scored gets the very
-    same float."""
+    same float: a pair with an empty side by the empty-input rule, 1.0 if
+    both sides are empty and 0.0 if one is, and the rest by one
+    ``score_pairs`` call."""
     new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
-    if scorer.score_tokens is None:  # Levenshtein: one call on the texts of the new pairs
-        if new:
-            at = {s: i for i, s in enumerate(dict.fromkeys(seq for pair in new for seq in pair))}
-            texts = [" ".join(s) for s in at]
-            memo.update(zip(new, strsim.levenshtein_pair_scores(texts, [(at[a], at[b]) for a, b in new]).tolist()))
-    else:
-        for pair in new:  # in order of first appearance: the first to fail is the table's first failing pair
-            try:
-                memo[pair] = scorer.score_tokens(*pair)
-            except Exception as exc:
-                raise ScoringError(f"{scorer.measure_id} failed on pair {pairs.index(pair)} "
-                                   f"of {name!r}: {exc}") from exc
+    full = [(a, b) for a, b in new if a and b]
+    memo.update({(a, b): float(a == b) for a, b in new if not (a and b)})
+    if full:
+        memo.update(zip(full, scorer.score_pairs(full)))
     return np.fromiter(map(memo.__getitem__, pairs), np.float64, len(pairs))
 
 

@@ -260,8 +260,9 @@ def wbsm(s1: Iterable[str], s2: Iterable[str], measure: WordSimMeasure) -> float
     return semantic_vector_sim(set(s1), set(s2), measure.word_sim)
 
 
-def com(wbsm_score: float, ubsm_score: float, lam: float = 0.5) -> float:
-    """Convex combination of the word- and concept-based sentence scores."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    return lam * wbsm_score + (1.0 - lam) * ubsm_score
+COM_LAMBDA = 0.5
+
+
+def com(wbsm_score: float, ubsm_score: float) -> float:
+    """Convex combination of the word- and concept-based sentence scores, ``COM_LAMBDA`` on WBSM."""
+    return COM_LAMBDA * wbsm_score + (1.0 - COM_LAMBDA) * ubsm_score

@@ -2,7 +2,9 @@
 
 All measures are symmetric and return values in [0, 1], and none raises on
 empty input: an empty token sequence scores 0.0 against a non-empty one and
-1.0 against an empty one.
+1.0 against an empty one. That is the empty-input rule, which the benchmark
+applies to every measure (``bench``); the functions here keep it so that
+they can be called alone.
 
 :func:`token_pair_scores` scores the five token measures (block, liblock,
 jaccard, overlap and token q-gram) for every pair of a token table at once.

@@ -2,9 +2,11 @@
 
 The text vector format is one token per line, ``token v1 ... vd``, with an
 optional ``count dim`` header. Out-of-vocabulary tokens are skipped rather
-than zero-imputed. A sentence with no in-vocabulary token, or none left by
-pre-processing, pools to None and scores 0 against anything, such a sentence
-too: the benchmark reports 0.5 (``rescale_signed``) and warns of nothing.
+than zero-imputed. A sentence with no in-vocabulary token pools to None and
+scores 0 against anything, such a sentence too: the benchmark reports 0.5
+(``rescale_signed``) and warns of nothing. A sentence left with no token by
+pre-processing never reaches :func:`swem_sim` in the benchmark, which
+scores it by the empty-input rule of every measure (see ``bench``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class VectorModel:
     table: dict[str, np.ndarray]
 
 
-def load_vectors(path: str | Path, expected_dim: int | None = None) -> VectorModel:
+def load_vectors(path: str | Path) -> VectorModel:
     """Load a text-format word-vector file.
 
     Duplicate tokens keep their first occurrence with a warning; ragged
@@ -37,7 +39,7 @@ def load_vectors(path: str | Path, expected_dim: int | None = None) -> VectorMod
     """
     path = Path(path)
     table: dict[str, np.ndarray] = {}
-    dim: int | None = expected_dim
+    dim: int | None = None
     declared_count: int | None = None
     with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -50,9 +52,6 @@ def load_vectors(path: str | Path, expected_dim: int | None = None) -> VectorMod
                 except ValueError:
                     pass
                 else:
-                    if dim is not None and header_dim != dim:
-                        raise VectorFormatError(
-                            f"{path}:1: header dim {header_dim} != expected {dim}")
                     dim = header_dim
                     continue
             token, values = parts[0], parts[1:]
@@ -100,7 +99,8 @@ def pool(tokens: Sequence[str], model: VectorModel, mode: str) -> np.ndarray | N
 
 
 def swem_sim(s1: Sequence[str], s2: Sequence[str], model: VectorModel, mode: str = "mean") -> float:
-    """Cosine of the pooled sentence vectors, in [-1, 1].
+    """Cosine of the pooled sentence vectors, clamped to [-1, 1], which
+    rounding exceeds for equal or opposite vectors.
 
     Returns 0 when either side pools to None or a zero vector. Benchmark
     reporting may rescale with (x + 1) / 2 for measures declared signed.
@@ -113,7 +113,7 @@ def swem_sim(s1: Sequence[str], s2: Sequence[str], model: VectorModel, mode: str
     n2 = float(np.linalg.norm(v2))
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    return float(np.dot(v1, v2) / (n1 * n2))
+    return min(1.0, max(-1.0, float(np.dot(v1, v2) / (n1 * n2))))
 
 
 def rescale_signed(x: float) -> float:

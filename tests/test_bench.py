@@ -57,21 +57,46 @@ def test_scorer_resource_requirements():
         PairScorer("bogus", cfg, Resources())
 
 
-def test_score_dataset_reports_failing_pair(rng):
-    ds = make_dataset(rng, 5)
-    # a stop-word-only sentence pre-processes to nothing; string measures
-    # score it by the empty-input rule, the ontology measures still error
+def _emptied_dataset(rng):
+    """Pair 1 has a stop-word-only side, pair 2 two of them, and pair 3 one
+    whose annotation leaves it a concept code in the ``ner=annotations`` view
+    only; pair 0 is untouched."""
     import dataclasses
-    from stsbench.core import RawSentence
+    from stsbench.core import Annotation, RawSentence
+    ds = make_dataset(rng, 5)
     pairs = list(ds.pairs)
-    pairs[3] = dataclasses.replace(pairs[3], s1=RawSentence("the of and"))
-    ds = dataclasses.replace(ds, pairs=tuple(pairs))
+    pairs[1] = dataclasses.replace(pairs[1], s1=RawSentence("the of and"))
+    pairs[2] = dataclasses.replace(pairs[2], s1=RawSentence("the of"), s2=RawSentence("and the"))
+    pairs[3] = dataclasses.replace(pairs[3], s1=RawSentence("the of and", (Annotation(0, 3, "C5"),)))
+    return dataclasses.replace(ds, pairs=tuple(pairs))
+
+
+def _all_resources():
     from conftest import VOCAB
-    resources = Resources(taxonomy=Taxonomy(random_dag(np.random.default_rng(5), 30)),
-                          lexicon={w: frozenset({f"c{i % 30}"}) for i, w in enumerate(VOCAB)})
-    scorer = PairScorer("wbsm-rada", PreprocessConfig(stopwords="nltk2018"), resources)
-    with pytest.raises(RuntimeError, match="pair 3"):
-        score_dataset(scorer, ds)
+    from stsbench.vecsim import VectorModel
+    vrng = np.random.default_rng(3)
+    return Resources(vectors=VectorModel(8, {w: vrng.normal(size=8) for w in VOCAB}),
+                     taxonomy=Taxonomy(random_dag(np.random.default_rng(5), 30)),
+                     lexicon={w: frozenset({f"c{i % 30}"}) for i, w in enumerate(VOCAB)})
+
+
+@pytest.mark.parametrize("measure", list(bench.MEASURES))
+def test_every_measure_scores_empty_sequences_by_the_rule(measure, rng):
+    # one empty side scores 0.0 and two score 1.0; pair 3 is empty in the
+    # ner=none view only, so com, which reads both views, counts it too
+    ds = _emptied_dataset(rng)
+    scorer = PairScorer(measure, PreprocessConfig(stopwords="nltk2018"), _all_resources())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = score_dataset(scorer, ds)
+    empty = 2 if measure.startswith("ubsm") else 3
+    assert [str(w.message) for w in caught] == [
+        f"{measure} on 'synthetic' ({scorer.config.label()}): {empty} "
+        "pair(s) with an empty token sequence scored by the empty-input rule"]
+    assert run.scores[1:3] == (0.0, 1.0)
+    assert all(0.0 <= s <= 1.0 for s in run.scores)
+    if empty == 3 and measure != "com":
+        assert run.scores[3] == 0.0
 
 
 def test_grid_scores_emptied_sentences_by_rule(tmp_path, rng):
@@ -198,28 +223,24 @@ def test_run_with_swem_rescales_to_unit_interval(tmp_path, rng):
 
 
 def test_swem_scores_a_sentence_with_no_vector_one_half_without_warning(rng):
-    # a sentence of stop words only, or of tokens with no vector ("zzz"), pools
-    # to nothing, whose cosine is 0, reported as 0.5, even against another such
-    # sentence, where the string measures' empty-input rule gives 1.0
+    # a sentence of tokens with no vector ("zzz") pools to nothing, whose
+    # cosine is 0, reported as 0.5 with no warning, even against itself: it
+    # is not empty, so the empty-input rule does not apply
     import dataclasses
     from conftest import VOCAB
     from stsbench.core import RawSentence
     from stsbench.vecsim import VectorModel
-    ds = make_dataset(rng, 4)
+    ds = make_dataset(rng, 3)
     pairs = list(ds.pairs)
-    pairs[1] = dataclasses.replace(pairs[1], s1=RawSentence("the of and"))
-    pairs[2] = dataclasses.replace(pairs[2], s1=RawSentence("the of"), s2=RawSentence("and the"))
-    pairs[3] = dataclasses.replace(pairs[3], s1=RawSentence("zzz"))
+    pairs[1] = dataclasses.replace(pairs[1], s1=RawSentence("zzz"))
+    pairs[2] = dataclasses.replace(pairs[2], s1=RawSentence("zzz yyy"), s2=RawSentence("zzz yyy"))
     ds = dataclasses.replace(ds, pairs=tuple(pairs))
     vrng = np.random.default_rng(3)
     model = VectorModel(8, {w: vrng.normal(size=8) for w in VOCAB})
-    cfg = PreprocessConfig(stopwords="nltk2018")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run = score_dataset(PairScorer("swem:mean", cfg, Resources(vectors=model)), ds)
-    assert run.scores[1:] == (0.5, 0.5, 0.5) and run.scores[0] != 0.5
-    with pytest.warns(UserWarning, match="2 pair"):
-        assert score_dataset(PairScorer("block", cfg, Resources()), ds).scores[1:3] == (0.0, 1.0)
+        run = score_dataset(PairScorer("swem:mean", PreprocessConfig(), Resources(vectors=model)), ds)
+    assert run.scores[1:] == (0.5, 0.5) and run.scores[0] != 0.5
 
 
 def test_run_ontology_measures(tmp_path, rng):
@@ -405,16 +426,43 @@ def test_cli_error_paths(tmp_path, capsys):
     assert rc == 1
 
 
-def test_cli_reports_a_failing_pair(tmp_path, capsys):
-    # the first sentence is all stop words, on which wbsm is undefined
+def test_cli_grid_scores_a_stop_word_only_sentence_with_every_family(tmp_path, capsys):
+    # the first sentence is all stop words: under a stop list it is empty,
+    # which the ontology and SWEM measures score by the empty-input rule
+    from conftest import VOCAB
     path = tmp_path / "t.tsv"
-    path.write_text("the of and\tgene cell\t0.5\ngene kinase\tcell\t0.1\n", encoding="utf-8")
+    path.write_text("the of and\tgene cell\t0.5\ngene kinase\tcell\t0.1\nprotein binding\tprotein\t0.9\n",
+                    encoding="utf-8")
     tax_path, lex_path = _onto_files(tmp_path)
-    rc = cli.main(["run", "--dataset", f"t={path}", "--measure", "wbsm-rada", "--stopwords", "nltk2018",
-                   "--taxonomy", str(tax_path), "--lexicon", str(lex_path), "--out", str(tmp_path / "out")])
+    vec_path = tmp_path / "vectors.txt"
+    vrng = np.random.default_rng(3)
+    vec_path.write_text("".join(w + " " + " ".join(f"{v:.6f}" for v in vrng.normal(size=8)) + "\n"
+                                for w in VOCAB))
+    measures = ("wbsm-rada", "ubsm-jc", "com", "swem:mean")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["grid", "--dataset", f"t={path}", *(f"--measure={m}" for m in measures),
+                       "--taxonomy", str(tax_path), "--lexicon", str(lex_path), "--vectors", str(vec_path),
+                       "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert len(list(out.iterdir())) == len(measures) * 48 + 1
+    cfg = PreprocessConfig(stopwords="nltk2018").label().replace("=", "-").replace(",", "_")
+    for m in measures:
+        assert read_raw_scores(out / f"t__{m.replace(':', '-')}__{cfg}.csv").scores[0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["../esc", "sub/x", "a\\b", "..", ".", ""])
+def test_dataset_names_must_be_one_file_name_component(name, tmp_path, capsys, monkeypatch):
+    # rejected before anything loads, so nothing is scored or written
+    data = tmp_path / "d.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 4), data)
+    monkeypatch.setattr(bench, "load_plan_datasets", lambda *a: pytest.fail("loaded before the name check"))
+    out = tmp_path / "deep" / "out"
+    rc = cli.main(["run", "--dataset", f"{name}={data}", "--measure", "block", "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err == "error: wbsm-rada failed on pair 0 of 't': word sets must be non-empty\n"
+    assert capsys.readouterr().err == f"error: dataset name {name!r} is not one file-name component\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.tsv"]
 
 
 def test_significance_keeps_every_config(tmp_path, rng):
@@ -871,24 +919,6 @@ def test_pair_memo_scores_each_distinct_pair_once_per_kernel(tmp_path, monkeypat
     assert len(runs) == len(scorers)
     for k, run, _, _ in runs:
         assert np.array(run.scores).tobytes() == np.array(alone[k]).tobytes()
-
-
-def test_a_failure_after_memo_pairs_names_the_tables_pair(rng):
-    from conftest import VOCAB
-    from stsbench.core import RawSentence, SentencePair
-    # under nltk2018 pairs 0 and 2 are as under stopwords=none, so they come
-    # from the memo; pair 1 is new and scores, and pair 3, the first to fail,
-    # is the second new pair but the table's pair 3
-    pairs = list(make_dataset(rng, 6).pairs)
-    pairs[1] = SentencePair(RawSentence("the gene cell"), pairs[1].s2, 0.5)
-    pairs[3] = pairs[5] = SentencePair(RawSentence("the of and"), pairs[3].s2, 0.5)
-    ds = Dataset("d", tuple(pairs))
-    resources = Resources(taxonomy=Taxonomy(random_dag(np.random.default_rng(5), 30)),
-                          lexicon={w: frozenset({f"c{i % 30}"}) for i, w in enumerate(VOCAB)})
-    scorers = [PairScorer("wbsm-rada", PreprocessConfig(stopwords=sw), resources) for sw in ("none", "nltk2018")]
-    assert len(bench.score_runs(scorers[:1], ds)[1]) == 1
-    with pytest.raises(bench.ScoringError, match=r"^wbsm-rada failed on pair 3 of 'd': word sets must be non-empty$"):
-        bench.score_runs(scorers, ds)
 
 
 def test_equal_stage_maps_share_one_key_and_build_once(monkeypatch):

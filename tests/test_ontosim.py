@@ -208,9 +208,6 @@ def test_wbsm_ubsm_and_com(tax, lexicon):
     w = wbsm(("cat", "dog"), ("cat", "pet"), m)
     assert 0.0 < w <= 1.0
     assert com(0.8, 0.4) == pytest.approx(0.6)
-    assert com(0.8, 0.4, lam=1.0) == 0.8
-    with pytest.raises(ValueError):
-        com(0.5, 0.5, lam=1.5)
 
 
 def _oracle_distances(edges, nodes):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stsbench.vecsim import (
     VectorFormatError,
@@ -68,8 +70,6 @@ def test_format_errors(tmp_path):
         load_vectors(_write(tmp_path, "cat 1 nan\n", "nan.txt"))
     with pytest.raises(VectorFormatError, match="no vectors"):
         load_vectors(_write(tmp_path, "", "empty.txt"))
-    with pytest.raises(VectorFormatError):
-        load_vectors(_write(tmp_path, "cat 1 0 0\n", "dim.txt"), expected_dim=2)
 
 
 def test_round_trip(tmp_path, model):
@@ -105,6 +105,19 @@ def test_swem_sim(model):
     assert swem_sim(("oov",), ("cat",), model) == 0.0
     # opposite vectors cancel under sum pooling
     assert swem_sim(("cat", "anti"), ("dog",), model, mode="sum") == 0.0
+
+
+_COMPONENTS = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+
+
+@given(st.lists(_COMPONENTS, min_size=1, max_size=8))
+def test_swem_sim_of_equal_and_opposite_vectors_stays_in_range(v):
+    # for many vectors, rounding puts the raw cosine of v with v at
+    # 1 + 2**-52, and of v with -v at -(1 + 2**-52)
+    model = VectorModel(len(v), {"a": np.array(v), "b": -np.array(v)})
+    assert 1.0 - 1e-12 < swem_sim(("a",), ("a",), model) <= 1.0
+    assert -1.0 <= swem_sim(("a",), ("b",), model) < -1.0 + 1e-12
+    assert 0.0 <= rescale_signed(swem_sim(("a",), ("b",), model))
 
 
 def test_rescale_signed():

@@ -9,7 +9,7 @@ vector over the joint word set of both sentences.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
@@ -25,55 +25,48 @@ class TaxonomyError(ValueError):
 class Taxonomy:
     """Rooted DAG with depth, leaf and subsumer information.
 
-    Depths and leaf masks are built at load, in one topological pass and
-    its reverse: Jiang & Conrath reads the leaf counts of many common
-    ancestors, so those stay eager. Ancestor sets are built on first use
-    and kept only for the concepts asked about, so a large taxonomy stays
-    small when a lexicon reaches few of its concepts.
+    The graph is the parent and child sets built from the edges, with every
+    node a key of both. Depths are set at load; leaf counts and ``ic_max``
+    come from one lazy pass up from the leaves, and ancestor sets are walked
+    on each call, so no per-concept set or mask is kept.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         parents: dict[str, set[str]] = {}
         children: dict[str, set[str]] = {}
-        nodes: set[str] = set()
         for child, parent in edges:
-            nodes.update((child, parent))
             parents.setdefault(child, set()).add(parent)
             children.setdefault(parent, set()).add(child)
-        if not nodes:
+        if not children:
             raise TaxonomyError("taxonomy has no nodes")
-        roots = [n for n in nodes if n not in parents]
+        roots = children.keys() - parents.keys()
         if len(roots) != 1:
             raise TaxonomyError(f"expected exactly one root, found {len(roots)}")
-        self.root = roots[0]
-        self._parents = {n: frozenset(parents.get(n, ())) for n in nodes}
-        self._children = {n: frozenset(children.get(n, ())) for n in nodes}
-        self.nodes = frozenset(nodes)
+        self.root = roots.pop()
+        self._leaves = list(parents.keys() - children.keys())
+        parents[self.root] = set()
+        children.update(dict.fromkeys(self._leaves, frozenset()))  # one shared empty set
+        self._parents = parents
+        self._children = children
+        self.nodes = parents.keys()
         # Kahn's algorithm from the root: a node joins the order once all its
         # parents have, at 1 + the depth of its shallowest parent (its BFS
         # depth). With one root, a node the pass never reaches is on a cycle.
-        indeg = {n: len(self._parents[n]) for n in nodes}
+        indeg = {n: len(ps) for n, ps in parents.items()}
         self._depth = {self.root: 0}
         order = [self.root]
         for n in order:
-            for c in self._children[n]:
+            for c in children[n]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    self._depth[c] = 1 + min(self._depth[p] for p in self._parents[c])
+                    self._depth[c] = 1 + min(self._depth[p] for p in parents[c])
                     order.append(c)
-        if len(order) != len(nodes):
+        if len(order) != len(parents):
             raise TaxonomyError("cycle detected")
         self.max_depth = max(self._depth.values())
-        self._leaves = [n for n in nodes if not self._children[n]]
-        self._leaf_masks = {n: 1 << bit for bit, n in enumerate(self._leaves)}
-        for n in reversed(order):  # children precede parents
-            mask = self._leaf_masks.get(n, 0)
-            for c in self._children[n]:
-                mask |= self._leaf_masks[c]
-            self._leaf_masks[n] = mask
         self.total_leaves = len(self._leaves)
-        self._ancestors: dict[str, frozenset[str]] = {}
-        self._ic_max: float | None = None
+        self._leaf_counts: Counter[str] | None = None
+        self._ic_max = 0.0
 
     def _require(self, concept: str) -> None:
         if concept not in self.nodes:
@@ -89,6 +82,20 @@ class Taxonomy:
                     stack.append(p)
         return seen
 
+    def _count_leaves(self) -> Counter[str]:
+        """Leaf counts as the number of leaf walks that reach each concept
+        (exact, each walk being a set); the largest walk gives ``ic_max``."""
+        if self._leaf_counts is None:
+            counts: Counter[str] = Counter()
+            subsumers = 0
+            for leaf in self._leaves:
+                up = self._walk_up(leaf)
+                counts.update(up)
+                subsumers = max(subsumers, len(up))
+            self._leaf_counts = counts
+            self._ic_max = -math.log((1 / subsumers + 1.0) / (self.total_leaves + 1.0))
+        return self._leaf_counts
+
     def depth(self, concept: str) -> int:
         self._require(concept)
         return self._depth[concept]
@@ -100,15 +107,12 @@ class Taxonomy:
     def leaf_count(self, concept: str) -> int:
         """Number of leaves subsumed by the concept (itself, if a leaf)."""
         self._require(concept)
-        return self._leaf_masks[concept].bit_count()
+        return self._count_leaves()[concept]
 
     def ancestors(self, concept: str) -> frozenset[str]:
-        """The concept and all its ancestors, walked up on first use."""
+        """The concept and all its ancestors, walked up on each call."""
         self._require(concept)
-        anc = self._ancestors.get(concept)
-        if anc is None:
-            anc = self._ancestors[concept] = frozenset(self._walk_up(concept))
-        return anc
+        return frozenset(self._walk_up(concept))
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
         """Shortest path length treating is-a edges as undirected."""
@@ -130,7 +134,6 @@ class Taxonomy:
 
     def ic_sanchez(self, concept: str) -> float:
         """Leaf/subsumer information content; 0 at the root, growing downward."""
-        self._require(concept)
         leaves = self.leaf_count(concept)
         subsumers = self.subsumer_count(concept)
         return -math.log((leaves / subsumers + 1.0) / (self.total_leaves + 1.0))
@@ -140,12 +143,10 @@ class Taxonomy:
 
         Any leaf below a concept has leaf count 1, against the concept's 1 or
         more, and more subsumers, so its IC is larger; among leaves the IC
-        grows with the subsumer count. Each leaf's ancestor set is walked
-        and dropped rather than memoised.
+        grows with the subsumer count. The largest leaf walk is taken in the
+        pass that counts the leaves, whichever of the two is asked first.
         """
-        if self._ic_max is None:
-            subsumers = max(len(self._walk_up(n)) for n in self._leaves)
-            self._ic_max = -math.log((1 / subsumers + 1.0) / (self.total_leaves + 1.0))
+        self._count_leaves()
         return self._ic_max
 
 
@@ -199,21 +200,19 @@ class WordSimMeasure:
         self._memo: dict[tuple[str, str], float] = {}
 
     def word_sim(self, w1: str, w2: str) -> float:
-        if w1 > w2:
-            w1, w2 = w2, w1
-        key = (w1, w2)
-        if key not in self._memo:
-            self._memo[key] = self._word_sim(w1, w2)
-        return self._memo[key]
-
-    def _word_sim(self, w1: str, w2: str) -> float:
         cs1 = self.lexicon.get(w1)
         cs2 = self.lexicon.get(w2)
         if not cs1 or not cs2:
             return 1.0 if w1 == w2 else 0.0
-        if self.kind == "rada":
-            return max(self._rada(c1, c2) for c1 in cs1 for c2 in cs2)
-        return max(self._jiang_conrath(c1, c2) for c1 in cs1 for c2 in cs2)
+        return max(self._concept_sim(c1, c2) for c1 in cs1 for c2 in cs2)
+
+    def _concept_sim(self, c1: str, c2: str) -> float:
+        # Both kinds are symmetric, so the unordered pair is the memo key.
+        key = (c1, c2) if c1 <= c2 else (c2, c1)
+        sim = self._memo.get(key)
+        if sim is None:
+            sim = self._memo[key] = (self._rada if self.kind == "rada" else self._jiang_conrath)(*key)
+        return sim
 
     def _rada(self, c1: str, c2: str) -> float:
         t = self.taxonomy

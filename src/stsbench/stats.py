@@ -260,8 +260,8 @@ def gaussian_kde(sample: np.ndarray, bandwidth: float, points: int = 512) -> tup
     return grid, density
 
 
-def error_analysis(run: BenchmarkRun, dataset: Dataset, kde_points: int = 512) -> ErrorSample:
-    """Similarity errors (method minus human) with a kernel density estimate.
+def error_analysis(run: BenchmarkRun, dataset: Dataset) -> ErrorSample:
+    """Similarity errors (method minus human) with a 512-point kernel density estimate.
 
     The bandwidth is Silverman's (1986) 0.9 * min(sd, IQR/1.34) * n^(-1/5)
     rule. Where that gives 0, ``bandwidth_fallback`` is set and the bandwidth
@@ -275,7 +275,7 @@ def error_analysis(run: BenchmarkRun, dataset: Dataset, kde_points: int = 512) -
     errors = np.asarray(run.scores, dtype=float) - np.asarray(dataset.human_scores(), dtype=float)
     abs_errors = np.abs(errors)
     bandwidth, fallback = _rule_of_thumb_bandwidth(errors)
-    grid, density = gaussian_kde(errors, bandwidth, kde_points)
+    grid, density = gaussian_kde(errors, bandwidth)
     return ErrorSample(
         errors=errors,
         mean=float(errors.mean()),

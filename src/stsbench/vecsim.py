@@ -3,10 +3,10 @@
 The text vector format is one token per line, ``token v1 ... vd``, with an
 optional ``count dim`` header. Out-of-vocabulary tokens are skipped rather
 than zero-imputed. A sentence with no in-vocabulary token pools to None and
-scores 0 against anything, such a sentence too: the benchmark reports 0.5
-(``rescale_signed``) and warns of nothing. A sentence left with no token by
-pre-processing never reaches :func:`swem_sim` in the benchmark, which
-scores it by the empty-input rule of every measure (see ``bench``).
+scores as an empty sequence does under the benchmark's empty-input rule
+(see ``bench``): 1 against another such sentence, itself included, and 0
+against one that pools to a vector, which the benchmark reports as 0.5
+(``rescale_signed``) without a warning.
 """
 
 from __future__ import annotations
@@ -77,12 +77,11 @@ def load_vectors(path: str | Path) -> VectorModel:
     return VectorModel(dim, table)
 
 
-def write_vectors(model: VectorModel, path: str | Path, header: bool = True) -> None:
-    """Write a model in the text format; round-trips through load_vectors."""
+def write_vectors(model: VectorModel, path: str | Path) -> None:
+    """Write a model in the text format, header first; round-trips through load_vectors."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(f"{len(model.table)} {model.dim}\n")
+        fh.write(f"{len(model.table)} {model.dim}\n")
         for token, vec in model.table.items():
             rendered = " ".join(format(v, ".17g") for v in vec)
             fh.write(f"{token} {rendered}\n")
@@ -102,13 +101,14 @@ def swem_sim(s1: Sequence[str], s2: Sequence[str], model: VectorModel, mode: str
     """Cosine of the pooled sentence vectors, clamped to [-1, 1], which
     rounding exceeds for equal or opposite vectors.
 
-    Returns 0 when either side pools to None or a zero vector. Benchmark
-    reporting may rescale with (x + 1) / 2 for measures declared signed.
+    Returns 1 when both sides pool to None, as two empty sequences score,
+    and 0 when one does or either pools to a zero vector. The benchmark
+    rescales with (x + 1) / 2, for measures declared signed.
     """
     v1 = pool(s1, model, mode)
     v2 = pool(s2, model, mode)
     if v1 is None or v2 is None:
-        return 0.0
+        return 1.0 if v1 is None and v2 is None else 0.0
     n1 = float(np.linalg.norm(v1))
     n2 = float(np.linalg.norm(v2))
     if n1 == 0.0 or n2 == 0.0:

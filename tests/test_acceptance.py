@@ -187,13 +187,17 @@ def test_criterion_5_taxonomy_oracle(rng):
                                                  [index[c] for c, _ in edges])), shape=(n, n))
         depth = csgraph_shortest_path(down, directed=True, unweighted=True, indices=index[tax.root])
         assert [tax.depth(m) for m in nodes] == [int(d) for d in depth]
+        # a concept's leaf count is the number of leaves reachable below it
+        below = np.isfinite(csgraph_shortest_path(down, directed=True, unweighted=True))
+        leaves = np.diff(down.indptr) == 0
+        assert [tax.leaf_count(m) for m in nodes] == below[:, leaves].sum(axis=1).tolist()
     # 0/1 word similarity must reproduce the binary cosine bit for bit
     for _ in range(2000):
         s1 = set(random_tokens(rng, 1, 10))
         s2 = set(random_tokens(rng, 1, 10))
         assert semantic_vector_sim(s1, s2, exact_match_sim) == li_adapted_sim(s1, s2)
     _report("criterion 5 (taxonomy oracle)", True,
-            "50 DAGs vs BFS oracle, IC monotone, binary case bit-equal")
+            "50 DAGs vs BFS oracle, leaf counts vs reachability, IC monotone, binary case bit-equal")
 
 
 def test_criterion_6_significance_machinery(rng):

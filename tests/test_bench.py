@@ -222,10 +222,10 @@ def test_run_with_swem_rescales_to_unit_interval(tmp_path, rng):
     assert all(0.0 <= s <= 1.0 for s in runs[0].scores)
 
 
-def test_swem_scores_a_sentence_with_no_vector_one_half_without_warning(rng):
-    # a sentence of tokens with no vector ("zzz") pools to nothing, whose
-    # cosine is 0, reported as 0.5 with no warning, even against itself: it
-    # is not empty, so the empty-input rule does not apply
+def test_swem_scores_a_sentence_with_no_vector_as_an_empty_one_without_warning(rng):
+    # a sentence of tokens with no vector ("zzz") pools to nothing and scores
+    # as an empty sequence does, with no warning: 0 against a sentence with a
+    # vector, reported as 0.5, and 1 against itself
     import dataclasses
     from conftest import VOCAB
     from stsbench.core import RawSentence
@@ -240,7 +240,7 @@ def test_swem_scores_a_sentence_with_no_vector_one_half_without_warning(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run = score_dataset(PairScorer("swem:mean", PreprocessConfig(), Resources(vectors=model)), ds)
-    assert run.scores[1:] == (0.5, 0.5) and run.scores[0] != 0.5
+    assert run.scores[1:] == (0.5, 1.0) and run.scores[0] not in (0.5, 1.0)
 
 
 def test_run_ontology_measures(tmp_path, rng):

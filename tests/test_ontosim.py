@@ -66,6 +66,16 @@ def test_ic_sanchez(tax):
     assert tax.ic_max() == max(tax.ic_sanchez(n) for n in tax.nodes)
 
 
+def test_ic_max_and_leaf_counts_agree_in_either_order(rng):
+    # one lazy pass gives both, whichever is asked for first
+    for edges in [TREE] + [random_dag(rng, int(rng.integers(2, 60))) for _ in range(10)]:
+        ic_first, counts_first = Taxonomy(edges), Taxonomy(edges)
+        ic = ic_first.ic_max()
+        counts = [counts_first.leaf_count(n) for n in sorted(counts_first.nodes)]
+        assert [ic_first.leaf_count(n) for n in sorted(ic_first.nodes)] == counts
+        assert counts_first.ic_max() == ic
+
+
 def test_ic_monotone_on_edges(tax):
     for child, parent in TREE:
         assert tax.ic_sanchez(child) >= tax.ic_sanchez(parent) - 1e-12
@@ -163,6 +173,22 @@ def test_multi_concept_takes_best_pair(tax, lexicon):
     m = WordSimMeasure("rada", tax, lexicon)
     # ambiguous maps to {c, f}; against cat the c-c pair wins with sim 1
     assert m.word_sim("ambiguous", "cat") == 1.0
+
+
+def test_word_and_concept_code_share_one_path_search(tax, lexicon, monkeypatch):
+    # "cat" and its concept code "c" are one concept, so the concept-pair memo
+    # searches the path from c to d once, in whichever order the words come
+    calls = []
+    search = Taxonomy.shortest_path_len
+
+    def counted(t, a, b):
+        calls.append((a, b))
+        return search(t, a, b)
+
+    monkeypatch.setattr(Taxonomy, "shortest_path_len", counted)
+    m = WordSimMeasure("rada", tax, {**lexicon, "c": frozenset({"c"})})
+    assert m.word_sim("cat", "dog") == m.word_sim("c", "dog") == m.word_sim("dog", "c")
+    assert calls == [("c", "d")]
 
 
 def test_unmapped_word_fallback(tax, lexicon):

@@ -101,8 +101,12 @@ def test_swem_sim(model):
     assert swem_sim(("cat",), ("dog",), model) == pytest.approx(0.0)
     assert swem_sim(("cat",), ("pet",), model) == pytest.approx(1 / np.sqrt(2))
     assert swem_sim(("cat",), ("anti",), model) == pytest.approx(-1.0)
-    # either side out of vocabulary scores zero
+    # a side with no in-vocabulary token scores as an empty sequence does:
+    # zero against a side with a vector, one against another such side
     assert swem_sim(("oov",), ("cat",), model) == 0.0
+    assert swem_sim(("cat",), ("oov",), model) == 0.0
+    assert swem_sim(("oov", "nope"), ("oov", "nope"), model) == 1.0
+    assert swem_sim(("oov",), ("nope",), model, mode="max") == 1.0
     # opposite vectors cancel under sum pooling
     assert swem_sim(("cat", "anti"), ("dog",), model, mode="sum") == 0.0
 

@@ -330,9 +330,6 @@ class EvalReport:
             raise ValueError(f"no rows for {measure_id!r} with config {config!r}")
         return sum(hs) / len(hs)
 
-    def configs_for(self, measure_id: str) -> list[str]:
-        return list(dict.fromkeys(row.config for row in self.rows if row.measure_id == measure_id))
-
     def write_csv(self, path: str | Path) -> None:
         write_table(path, ["dataset", "method", "config", "r", "rho", "h"],
                     ([row.dataset, row.measure_id, row.config, f"{row.r:.6f}", f"{row.rho:.6f}", f"{row.h:.6f}"]
@@ -354,10 +351,14 @@ def best_config(report: EvalReport, measure_id: str) -> str | None:
     When every config was degenerate (mean h nan) there is none: None, with
     a warning.
     """
-    configs = report.configs_for(measure_id)
-    if not configs:
+    hs: dict[str, list[float]] = {}  # each config's h, configs in grid order
+    for row in report.rows:
+        if row.measure_id == measure_id:
+            hs.setdefault(row.config, []).append(row.h)
+    if not hs:
         raise ValueError(f"report has no rows for measure {measure_id!r}")
-    scores = [report.average_h(measure_id, c) for c in configs]
+    configs = list(hs)
+    scores = [sum(h) / len(h) for h in hs.values()]
     finite = [s for s in scores if s == s]
     if not finite:
         warnings.warn(f"{measure_id}: every config was degenerate; no best config")

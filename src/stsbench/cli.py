@@ -68,9 +68,11 @@ def parse_plan_file(path: str | Path) -> dict:
     """Parse the flat ``key = value`` plan grammar into a raw dict.
 
     Repeatable keys (``measure``) accumulate; ``dataset.NAME`` and
-    ``annotations.NAME`` populate per-dataset maps.
+    ``annotations.NAME`` populate per-dataset maps. Any other key given
+    twice is an error.
     """
     raw = {"datasets": {}, "annotations": {}, "measures": [], "options": {}}
+    seen = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -79,6 +81,10 @@ def parse_plan_file(path: str | Path) -> dict:
             raise PlanError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key != "measure":
+            if key in seen:
+                raise PlanError(f"{path}:{lineno}: repeated key {key!r}")
+            seen.add(key)
         if key.startswith("dataset."):
             raw["datasets"][key[len("dataset."):]] = value
         elif key.startswith("annotations."):
@@ -113,6 +119,8 @@ def _split_name_path(values: list[str], flag: str) -> dict[str, str]:
         if "=" not in v:
             raise PlanError(f"--{flag} expects NAME=PATH, got {v!r}")
         name, _, path = v.partition("=")
+        if name in out:
+            raise PlanError(f"--{flag} gives {name!r} twice")
         out[name] = path
     return out
 

@@ -125,10 +125,12 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
     """Load a sentence-pair dataset from a TSV file.
 
     If any score exceeds 1, the whole score column is min-max normalized to
-    [0, 1] and a warning is emitted.
+    [0, 1] and a warning is emitted. Otherwise a negative score is an error
+    at its line.
     """
     path = Path(path)
     rows: list[tuple[str, str, float]] = []
+    negative = None  # the line and value of the first score below 0
     warned_extra = False
     first = True
     with path.open(encoding="utf-8-sig") as fh:
@@ -151,6 +153,8 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
             score = float(fields[2])
             if not math.isfinite(score):
                 raise DatasetError(f"{path}:{lineno}: score {fields[2]!r} is not a finite number")
+            if score < 0.0 and negative is None:
+                negative = lineno, score
             rows.append((fields[0], fields[1], score))
     if not rows:
         raise DatasetError(f"{path}: no sentence pairs")
@@ -162,6 +166,8 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
             scores = [1.0 for _ in scores]
         else:
             scores = [(s - lo) / (hi - lo) for s in scores]
+    elif negative is not None:
+        raise DatasetError(f"{path}:{negative[0]}: human score {negative[1]} outside [0, 1]")
     pairs = tuple(
         SentencePair(RawSentence(s1), RawSentence(s2), sc)
         for (s1, s2, _), sc in zip(rows, scores)

@@ -193,6 +193,13 @@ def _edit_distances(texts: Sequence[str], lengths: np.ndarray, left: np.ndarray,
     string ends, its distance is D[m][n] = D[0][n] + the sum of the column's
     vertical deltas = n + popcount(pv) - popcount(mv) over its segment, and
     its words are cut off the top.
+
+    No int in the loop is negative: ``~x`` is written ``full ^ x``, with
+    ``full`` the bits of the live words, as CPython copies a negative int
+    into two's complement and back on every bitwise operation. A cut takes
+    the ended pairs' segments as ``pv >> 8 * cut`` and ``mv >> 8 * cut`` in
+    bytes and keeps the live words of ``mv``, ``mask`` and ``low`` with
+    ``& full``, never round-tripping the whole live int through bytes.
     """
     longer = lengths[left] >= lengths[right]
     text, pattern = np.where(longer, left, right), np.where(longer, right, left)
@@ -223,24 +230,25 @@ def _edit_distances(texts: Sequence[str], lengths: np.ndarray, left: np.ndarray,
     column = np.arange(bounds[-1]) * width
     reads = start[text][owner]  # where the text of each word's pair starts in ``chars``
 
-    mask_bytes = b"".join(((1 << a) - 1).to_bytes(8 * w, "little") for a, w in zip(m.tolist(), words.tolist()))
-    low_bytes = b"".join((1).to_bytes(8 * w, "little") for w in words.tolist())
     cuts = (8 * bounds).tolist()  # the byte at which each pair's segment starts
-    pv = mask = int.from_bytes(mask_bytes, "little")
-    low, mv, live = int.from_bytes(low_bytes, "little"), 0, len(n)
+    pv = mask = int.from_bytes(b"".join(((1 << a) - 1).to_bytes(8 * w, "little")
+                                        for a, w in zip(m.tolist(), words.tolist())), "little")
+    low = int.from_bytes(b"".join((1).to_bytes(8 * w, "little") for w in words.tolist()), "little")
+    mv, live = 0, len(n)
+    full = (1 << 8 * cuts[live]) - 1  # the live words' bits, so that full ^ x is ~x on them
     ended_pv: list[bytes] = []  # the segments of the pairs whose texts have ended, top pairs first
     ended_mv: list[bytes] = []
     # after t steps, the pairs 0:alive are those whose longer string has more than t chars
     for t, alive in enumerate(np.searchsorted(-n, -np.arange(n.max(initial=0) + 1)).tolist()):
         if alive < live:  # the texts of pairs alive:live end here
-            # pv has no bits above the live words: the last step cut it by the mask
+            # pv and mv have no bits above the live words: the last step cut them by mask and xv
             top, cut = cuts[live], cuts[alive]
-            pv_bytes, mv_bytes = pv.to_bytes(top, "little"), mv.to_bytes(top, "little")
-            ended_pv.append(pv_bytes[cut:])
-            ended_mv.append(mv_bytes[cut:])
-            mv = int.from_bytes(mv_bytes[:cut], "little")
-            mask = int.from_bytes(mask_bytes[:cut], "little")
-            low = int.from_bytes(low_bytes[:cut], "little")
+            ended_pv.append((pv >> 8 * cut).to_bytes(top - cut, "little"))
+            ended_mv.append((mv >> 8 * cut).to_bytes(top - cut, "little"))
+            full = (1 << 8 * cut) - 1
+            mv &= full  # pv needs no cut: the next step's mask drops its ended words
+            mask &= full
+            low &= full
             live = alive
         if not live:
             break
@@ -248,12 +256,12 @@ def _edit_distances(texts: Sequence[str], lengths: np.ndarray, left: np.ndarray,
         eq = int.from_bytes(peq[column[:live_words] + code[chars[reads[:live_words] + t]]].tobytes(), "little")
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = mv | (full ^ (xh | pv))
         mh = pv & xh
         # the shifted-in 1s are row 0's +1 steps: a global, not a search, distance
         ph = (ph << 1) | low
         mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        pv = (mh | (full ^ (xv | ph))) & mask
         mv = ph & xv
     distance = np.empty(len(n), np.int64)
     distance[order] = n + _popcounts(ended_pv, bounds) - _popcounts(ended_mv, bounds)

@@ -372,6 +372,48 @@ def test_plan_file_bad_lines(tmp_path):
         cli.parse_plan_file(p)
 
 
+def test_repeated_dataset_names_are_rejected_before_any_load(tmp_path, rng, capsys, monkeypatch):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    for path in (a, b):
+        write_dataset(make_dataset(rng, 5), path)
+    loaded = []
+    monkeypatch.setattr(bench, "load_dataset", lambda *args, **kw: loaded.append(args))
+    for flag in ("dataset", "annotations"):
+        rc = cli.main(["validate", "--dataset", f"d={a}", f"--{flag}", f"d={a}", f"--{flag}", f"d={b}",
+                       "--measure", "block"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --{flag} gives 'd' twice\n"
+    plan_file = tmp_path / "plan.txt"
+    for key in ("dataset.d", "annotations.d", "lowercase"):
+        plan_file.write_text(f"dataset.d = {a}\nmeasure = block\nmeasure = jaccard\n"
+                             f"{key} = {a}\n{key} = {b}\n", encoding="utf-8")
+        line = 4 if key == "dataset.d" else 5  # the line that repeats the key
+        assert cli.main(["validate", "--plan", str(plan_file)]) == 1
+        assert capsys.readouterr().err == f"error: {plan_file}:{line}: repeated key {key!r}\n"
+    assert loaded == []
+
+
+def test_flags_override_plan_entries_of_the_same_name(tmp_path):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("dataset.d = a.tsv\nannotations.d = a.ann\nlowercase = no\nmeasure = block\n",
+                         encoding="utf-8")
+    args = _plan_args(plan_file)
+    args.dataset, args.annotations, args.lowercase = ["d=b.tsv"], ["d=b.ann"], "yes"
+    plan = cli.build_plan(args)
+    assert plan.datasets == {"d": Path("b.tsv")} and plan.annotations == {"d": Path("b.ann")}
+    assert plan.measures[0].configs[0].lowercase is True
+
+
+def test_negative_human_score_fails_at_its_line(tmp_path, capsys):
+    path = tmp_path / "neg.tsv"
+    path.write_text("s1\ts2\tscore\na b\tc d\t0.5\ne f\tg h\t-0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--dataset", f"d={path}", "--measure", "block", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}:3: human score -0.5 outside [0, 1]\n"
+    assert not out.exists()
+
+
 def test_cli_end_to_end(tmp_path, rng, capsys):
     ds = make_dataset(rng, 20)
     path = tmp_path / "d.tsv"

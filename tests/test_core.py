@@ -120,6 +120,15 @@ def test_load_dataset_constant_out_of_range_scores(tmp_path):
     assert ds.human_scores() == [1.0, 1.0]
 
 
+def test_load_dataset_negative_score_fails_at_its_line(tmp_path):
+    p = _write(tmp_path, "s1\ts2\tscore\na\tb\t0.5\nc\td\t-0.5\ne\tf\t-1\n")
+    with pytest.raises(DatasetError, match=r"^.*data\.tsv:3: human score -0\.5 outside \[0, 1\]$"):
+        load_dataset(p)
+    # above 1 the column is min-max normalized, negative scores and all
+    with pytest.warns(UserWarning, match="normalizing"):
+        assert load_dataset(_write(tmp_path, "a\tb\t-1\nc\td\t3\n")).human_scores() == [0.0, 1.0]
+
+
 def test_load_dataset_errors(tmp_path):
     with pytest.raises(DatasetError, match=":2:"):
         load_dataset(_write(tmp_path, "a\tb\t0.5\nonly-one-field\n"))

@@ -302,6 +302,22 @@ def test_gaussian_kde_matches_direct_sum(rng):
     assert grid[-1] == pytest.approx(sample.max() + 4 * bw)
 
 
+def test_gaussian_kde_equals_the_four_temporary_expression_bit_for_bit(rng):
+    # the density as it was computed before it ran in one buffer
+    def oracle(sample, bandwidth, points):
+        grid = np.linspace(sample.min() - 4.0 * bandwidth, sample.max() + 4.0 * bandwidth, points)
+        z = (grid[:, None] - sample[None, :]) / bandwidth
+        return grid, np.exp(-0.5 * z * z).sum(axis=1) / (len(sample) * bandwidth * np.sqrt(2.0 * np.pi))
+
+    cases = [(rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=rng.integers(1, 60)),
+              10.0 ** rng.uniform(-4, 3)) for _ in range(200)]
+    cases += [(rng.normal(size=20), 1e-300), (rng.normal(size=20), 1e3), (np.zeros(5), 1e-3)]
+    with np.errstate(over="ignore"):  # at bandwidth 1e-300, z * z overflows; exp(-inf) is 0 in both forms
+        for sample, bandwidth in cases:
+            for got, want in zip(gaussian_kde(sample, bandwidth, 64), oracle(sample, bandwidth, 64)):
+                assert got.tobytes() == want.tobytes()
+
+
 def test_error_analysis(rng):
     ds = make_dataset(rng, 30)
     scores = tuple(np.clip(ds.human_scores() + rng.normal(0, 0.1, size=30), 0, 1))

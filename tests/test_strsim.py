@@ -217,6 +217,22 @@ def test_levenshtein_pair_scores_equal_the_dp_bit_for_bit(texts):
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (texts[i], texts[j])
 
 
+def test_levenshtein_pair_scores_cut_at_many_steps():
+    # two texts of every length 0..140, so the longer texts of one table end
+    # at 141 steps, three pairs on each; the shorter sides run from 0 to 140
+    # chars, so the segments cut off the top are 1, 2 or 3 words wide
+    texts = [_edit_text(n, salt) for n in range(141) for salt in (n, n + 3)]  # texts 2n, 2n + 1: n chars
+    pairs = [pair for n in range(141) for pair in (
+        (2 * n, 2 * n + 1), (2 * n, 2 * (37 * n % (n + 1)) + 1), (2 * (101 * n % (n + 1)), 2 * n + 1))]
+    scores = levenshtein_pair_scores(texts, pairs)
+    assert levenshtein_pair_scores(texts, [(j, i) for i, j in pairs]).tobytes() == scores.tobytes()
+    for (i, j), got in zip(pairs, scores):
+        a, b = texts[i], texts[j]
+        longest = max(len(a), len(b))
+        want = 1.0 - levenshtein_dp(a, b) / longest if longest else 1.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (len(a), len(b))
+
+
 def test_empty_input_errors():
     # no string measure raises on empty input: each scores it by the rule
     for s1, s2, want in (((), ("a",), 0.0), (("a", "b"), (), 0.0), ((), (), 1.0)):

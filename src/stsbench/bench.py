@@ -324,12 +324,6 @@ class ReportRow:
 class EvalReport:
     rows: list[ReportRow]
 
-    def average_h(self, measure_id: str, config: str) -> float:
-        hs = [row.h for row in self.rows if row.measure_id == measure_id and row.config == config]
-        if not hs:
-            raise ValueError(f"no rows for {measure_id!r} with config {config!r}")
-        return sum(hs) / len(hs)
-
     def write_csv(self, path: str | Path) -> None:
         write_table(path, ["dataset", "method", "config", "r", "rho", "h"],
                     ([row.dataset, row.measure_id, row.config, f"{row.r:.6f}", f"{row.rho:.6f}", f"{row.h:.6f}"]
@@ -344,8 +338,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def best_config(report: EvalReport, measure_id: str) -> str | None:
-    """Config label maximizing the mean harmonic score across datasets.
+def best_config(report: EvalReport, measure_id: str) -> tuple[str, float] | None:
+    """The config label maximizing the mean harmonic score across datasets,
+    and that mean h (the config's h summed in report order, over their count).
 
     Exact ties resolve to the earlier config in grid order, with a warning.
     When every config was degenerate (mean h nan) there is none: None, with
@@ -357,18 +352,16 @@ def best_config(report: EvalReport, measure_id: str) -> str | None:
             hs.setdefault(row.config, []).append(row.h)
     if not hs:
         raise ValueError(f"report has no rows for measure {measure_id!r}")
-    configs = list(hs)
-    scores = [sum(h) / len(h) for h in hs.values()]
-    finite = [s for s in scores if s == s]
-    if not finite:
+    means = {config: sum(h) / len(h) for config, h in hs.items()}
+    best = max((m for m in means.values() if m == m), default=None)  # nan: degenerate
+    if best is None:
         warnings.warn(f"{measure_id}: every config was degenerate; no best config")
         return None
-    best = max(finite)
-    winners = [c for c, s in zip(configs, scores) if s == best]
+    winners = [c for c, m in means.items() if m == best]
     if len(winners) > 1:
         warnings.warn(f"{measure_id}: {len(winners)} configs tie at h={best:.6f}; "
                       "keeping the earliest in grid order")
-    return winners[0]
+    return winners[0], means[winners[0]]
 
 
 def _run_file_name(run: BenchmarkRun) -> str:
@@ -408,10 +401,15 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     still has its own file and warns under its own label. The file of a run
     whose row an earlier run of the dataset wrote is a hard link to that
     earlier file (:func:`core.write_raw_scores`): creating a file costs far
-    more than linking one, whatever its size.
+    more than linking one, whatever its size. A dataset of fewer than 2
+    pairs is an error before any scoring.
     """
     scorers = validate_plan(plan)
     datasets = load_plan_datasets(plan)
+    for name, dataset in datasets.items():
+        if len(dataset) < 2:
+            raise PlanError(f"dataset {name!r} of {len(dataset)} pair is too small: "
+                            "Pearson and Spearman need at least 2 pairs")
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     done: dict[tuple[int, str], tuple[BenchmarkRun, ReportRow]] = {}

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import bench, stats
 from .bench import BenchmarkPlan, MeasureSpec, PlanError
-from .core import write_table
+from .core import read_lines, write_table
 from .preprocess import OPTIONS, PreprocessConfig, full_grid
 
 
@@ -73,7 +73,7 @@ def parse_plan_file(path: str | Path) -> dict:
     """
     raw = {"datasets": {}, "annotations": {}, "measures": [], "options": {}}
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -160,34 +160,26 @@ def build_plan(args: argparse.Namespace, grid: bool = False) -> BenchmarkPlan:
     )
 
 
-def _cmd_run(args) -> int:
-    plan = build_plan(args)
+def _cmd_run(args, grid: bool = False) -> int:
+    plan = build_plan(args, grid=grid)
     runs, report = bench.run(plan)
     report.write_csv(Path(plan.out_dir) / "report.csv")
-    print(report.format_table())
-    print(f"\n{len(runs)} runs written to {plan.out_dir}")
-    return 0
-
-
-def _cmd_grid(args) -> int:
-    plan = build_plan(args, grid=True)
-    _, report = bench.run(plan)
-    report.write_csv(Path(plan.out_dir) / "report.csv")
+    if not grid:
+        print(report.format_table())
+        print(f"\n{len(runs)} runs written to {plan.out_dir}")
+        return 0
     for spec in plan.measures:
         best = bench.best_config(report, spec.measure_id)
-        if best is None:
-            print(f"{spec.measure_id}: no best config (every config degenerate)")
-            continue
-        h = report.average_h(spec.measure_id, best)
-        print(f"{spec.measure_id}: best config {best} (mean h = {h:.4f})")
+        print(f"{spec.measure_id}: no best config (every config degenerate)" if best is None
+              else f"{spec.measure_id}: best config {best[0]} (mean h = {best[1]:.4f})")
     return 0
 
 
 def _single_dataset(plan: BenchmarkPlan):
-    datasets = bench.load_plan_datasets(plan)
-    if len(datasets) != 1:
-        raise PlanError(f"this command needs exactly one dataset, got {len(datasets)}")
-    return next(iter(datasets.values()))
+    if len(plan.datasets) != 1:
+        raise PlanError(f"this command needs exactly one dataset, got {len(plan.datasets)}")
+    [dataset] = bench.load_plan_datasets(plan).values()
+    return dataset
 
 
 def _single_scorer(args, command: str):
@@ -236,7 +228,7 @@ def _cmd_significance(args) -> int:
 def _cmd_error_analysis(args) -> int:
     plan, scorer, dataset = _single_scorer(args, "error-analysis")
     result = bench.score_dataset(scorer, dataset)
-    analysis = stats.error_analysis(result, dataset)
+    analysis = stats.error_analysis(result.scores, dataset.human_scores())
     dest = Path(plan.out_dir) / "error_kde.csv"
     write_table(dest, ["x", "density"],
                 ([f"{x:.10g}", f"{d:.10g}"] for x, d in zip(analysis.kde_x, analysis.kde_density)))
@@ -270,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
         ("run", _cmd_run),
-        ("grid", _cmd_grid),
+        ("grid", lambda args: _cmd_run(args, grid=True)),
         ("significance", _cmd_significance),
         ("error-analysis", _cmd_error_analysis),
         ("throughput", _cmd_throughput),

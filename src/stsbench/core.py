@@ -2,12 +2,12 @@
 
 File formats handled here:
 
-* Dataset TSV: ``sentence1<TAB>sentence2<TAB>score`` per line, UTF-8 (a
-  leading byte-order mark is skipped), LF. The first non-blank line is a
-  header when its third field is not numeric.
+* Every input text file (dataset, annotations, plan, taxonomy, lexicon,
+  vectors, stop words, char filter) is UTF-8 read by :func:`read_lines`.
+* Dataset TSV: ``sentence1<TAB>sentence2<TAB>score`` per line. The first
+  non-blank line is a header when its third field is not numeric.
   Extra trailing columns are ignored with a warning.
-* Annotation sidecar TSV: ``row_index<TAB>s1|s2<TAB>start<TAB>end<TAB>code``,
-  UTF-8, a leading byte-order mark skipped.
+* Annotation sidecar TSV: ``row_index<TAB>s1|s2<TAB>start<TAB>end<TAB>code``.
 * Raw-score CSV: header ``pair_index,score``, one row per pair, CRLF line
   ends (the ``csv`` module's default), scores rendered with 17 significant
   digits so that a read/write round trip is bit-exact. Runs of one dataset
@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,7 +30,7 @@ import numpy as np
 
 
 class DatasetError(ValueError):
-    """Malformed dataset, annotation or raw-score file."""
+    """Malformed dataset, annotation or raw-score file, or text that is not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -113,49 +113,60 @@ class BenchmarkRun:
             raise DatasetError("benchmark run has no scores")
 
 
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 text file, as it is read, with its 1-based number
+    and without its line end. A leading byte-order mark is skipped. Lines
+    end at LF, CRLF or CR only, not at a form feed, U+0085 or U+2028. Bytes
+    that are not UTF-8 raise :class:`DatasetError` at their line."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield from enumerate((line.rstrip("\n") for line in fh), start=1)
+        except UnicodeDecodeError:
+            try:  # the stream decodes in chunks, so find the bad byte in the whole file
+                Path(path).read_bytes().decode("utf-8-sig")
+            except UnicodeDecodeError as exc:
+                head = exc.object[:exc.start]
+                lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                raise DatasetError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
-    """Load a sentence-pair dataset from a TSV file.
+    """Load a sentence-pair dataset from a TSV file (:func:`read_lines`).
 
-    If any score exceeds 1, the whole score column is min-max normalized to
-    [0, 1] and a warning is emitted. Otherwise a negative score is an error
-    at its line.
+    A first line whose score ``float`` cannot parse is the header. If any
+    score exceeds 1, the whole score column is min-max normalized to [0, 1]
+    and a warning is emitted. Otherwise a negative score is an error at its
+    line.
     """
     path = Path(path)
     rows: list[tuple[str, str, float]] = []
     negative = None  # the line and value of the first score below 0
     warned_extra = False
     first = True
-    with path.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise DatasetError(f"{path}:{lineno}: expected >= 3 tab-separated fields, got {len(fields)}")
-            if first:
-                first = False
-                if not _is_number(fields[2]):
-                    continue  # header line
-            if len(fields) > 3 and not warned_extra:
-                warnings.warn(f"{path}: ignoring extra trailing columns (first seen at line {lineno})")
-                warned_extra = True
-            if not _is_number(fields[2]):
-                raise DatasetError(f"{path}:{lineno}: score {fields[2]!r} is not a number")
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise DatasetError(f"{path}:{lineno}: expected >= 3 tab-separated fields, got {len(fields)}")
+        try:
             score = float(fields[2])
-            if not math.isfinite(score):
-                raise DatasetError(f"{path}:{lineno}: score {fields[2]!r} is not a finite number")
-            if score < 0.0 and negative is None:
-                negative = lineno, score
-            rows.append((fields[0], fields[1], score))
+        except ValueError:
+            score = None
+        if first:
+            first = False
+            if score is None:
+                continue  # header line
+        if len(fields) > 3 and not warned_extra:
+            warnings.warn(f"{path}: ignoring extra trailing columns (first seen at line {lineno})")
+            warned_extra = True
+        if score is None:
+            raise DatasetError(f"{path}:{lineno}: score {fields[2]!r} is not a number")
+        if not math.isfinite(score):
+            raise DatasetError(f"{path}:{lineno}: score {fields[2]!r} is not a finite number")
+        if score < 0.0 and negative is None:
+            negative = lineno, score
+        rows.append((fields[0], fields[1], score))
     if not rows:
         raise DatasetError(f"{path}: no sentence pairs")
     scores = [r[2] for r in rows]
@@ -196,26 +207,24 @@ def load_annotations(path: str | Path) -> dict[SentenceId, list[Annotation]]:
     """
     path = Path(path)
     out: dict[SentenceId, list[Annotation]] = {}
-    with path.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise DatasetError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            row_s, side, start_s, end_s, code = fields
-            if side not in _SIDES:
-                raise DatasetError(f"{path}:{lineno}: sentence selector must be s1 or s2, got {side!r}")
-            try:
-                row, start, end = int(row_s), int(start_s), int(end_s)
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
-            try:
-                ann = Annotation(start, end, code)
-            except DatasetError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
-            out.setdefault((row, side), []).append(ann)
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise DatasetError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        row_s, side, start_s, end_s, code = fields
+        if side not in _SIDES:
+            raise DatasetError(f"{path}:{lineno}: sentence selector must be s1 or s2, got {side!r}")
+        try:
+            row, start, end = int(row_s), int(start_s), int(end_s)
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+        try:
+            ann = Annotation(start, end, code)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+        out.setdefault((row, side), []).append(ann)
     for key, anns in out.items():
         ordered = sorted(anns, key=lambda a: a.start)
         for prev, cur in zip(ordered, ordered[1:]):

@@ -13,6 +13,8 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
+from .core import read_lines
+
 
 class EmptyInputError(ValueError):
     """A semantic vector was asked of an empty word set."""
@@ -153,7 +155,7 @@ class Taxonomy:
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load a taxonomy file: ``child<TAB>parent`` edges, ``#`` comments."""
     edges = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in read_lines(path):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -166,7 +168,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 def load_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
     """Load a surface-form lexicon: ``surface<TAB>concept[,concept...]``."""
     lexicon: dict[str, frozenset[str]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in read_lines(path):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")

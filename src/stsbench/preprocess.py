@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RawSentence
+from .core import RawSentence, read_lines
 
 TokenSequence = tuple[str, ...]
 
@@ -82,7 +82,7 @@ def _resource_path(kind: str, name: str) -> Path:
 def load_stopwords(name: str) -> frozenset[str]:
     """Load a named stop-word list; one lower-case token per line."""
     words = set()
-    for line in _resource_path("stopwords", name).read_text(encoding="utf-8-sig").splitlines():
+    for _, line in read_lines(_resource_path("stopwords", name)):
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.lower())
@@ -135,7 +135,7 @@ def load_char_filter(name: str) -> CharFilter:
     delete: list[str] = []
     replace: dict[str, str] = {}
     non_alnum = False
-    for line in _resource_path("charfilters", name).read_text(encoding="utf-8-sig").splitlines():
+    for _, line in read_lines(_resource_path("charfilters", name)):
         if len(line) == 1:  # before the comment test, so that "#" is a character too
             delete.append(line)
         elif line == _NON_ALNUM_MARKER:

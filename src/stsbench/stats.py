@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BenchmarkRun, Dataset
-
 
 class DegenerateDataError(ValueError):
     """Zero-variance or otherwise degenerate input to a statistic."""
@@ -137,7 +135,8 @@ def row_correlations(scores: np.ndarray, human) -> RowCorrelations:
     ``scores`` (one row per run, one column per pair) against ``human``, in
     one pass: row-wise statistics, :func:`average_ranks` over the whole matrix
     and the human ranks once. Each value and error equals what those functions
-    give on the row alone."""
+    give on the row alone: a row that is not finite or has zero variance gets
+    that error, and every other row the verdict of :func:`_harmonic_error`."""
     x = np.ascontiguousarray(scores, dtype=float)
     y = np.asarray(human, dtype=float)
     if x.ndim != 2 or y.shape != x.shape[1:]:
@@ -151,16 +150,10 @@ def row_correlations(scores: np.ndarray, human) -> RowCorrelations:
         y = np.where(np.isfinite(y), y, 0.0)
     r, flat = _pearson_rows(x, y)
     rho, flat_ranks = _pearson_rows(average_ranks(x), average_ranks(y))
-    bad = ~finite | flat | flat_ranks
-    errors: list[str | None] = [None] * len(x)
-    for i in np.flatnonzero(bad).tolist():
-        errors[i] = _ZERO_VARIANCE if finite[i] else _NON_FINITE
-    # the cases of _harmonic_error, which words the message of each row hit
-    undefined = ~bad & (~np.isfinite(r) | ~np.isfinite(rho) | (r + rho == 0.0)
-                        | (r < 0.0) & (rho > 0.0) | (rho < 0.0) & (r > 0.0))
-    for i in np.flatnonzero(undefined).tolist():
-        errors[i] = _harmonic_error(float(r[i]), float(rho[i]))
-    bad |= undefined
+    flagged = ~finite | flat | flat_ranks
+    errors = [(_ZERO_VARIANCE if fin else _NON_FINITE) if flag else _harmonic_error(a, b)
+              for flag, fin, a, b in zip(flagged.tolist(), finite.tolist(), r.tolist(), rho.tolist())]
+    bad = np.array([e is not None for e in errors], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = 2.0 * r * rho / (r + rho)
     return RowCorrelations(*(np.where(bad, np.nan, v) for v in (r, rho, h)), errors)
@@ -265,19 +258,21 @@ def gaussian_kde(sample: np.ndarray, bandwidth: float, points: int = 512) -> tup
     return grid, density
 
 
-def error_analysis(run: BenchmarkRun, dataset: Dataset) -> ErrorSample:
-    """Similarity errors (method minus human) with a 512-point kernel density estimate.
+def error_analysis(scores, human) -> ErrorSample:
+    """Similarity errors (method minus human) with a 512-point kernel density
+    estimate, from one run's scores and its dataset's human scores, of equal
+    length and at least 2 each.
 
     The bandwidth is Silverman's (1986) 0.9 * min(sd, IQR/1.34) * n^(-1/5)
     rule. Where that gives 0, ``bandwidth_fallback`` is set and the bandwidth
     is 0.9 * sd * n^(-1/5) when ties make the IQR 0, or 1e-3 when every error
     is equal.
     """
-    if len(run.scores) != len(dataset):
-        raise ValueError(f"run has {len(run.scores)} scores, dataset {len(dataset)} pairs")
-    if len(dataset) < 2:
+    if len(scores) != len(human):  # a length-1 side would broadcast
+        raise ValueError(f"run has {len(scores)} scores, dataset {len(human)} pairs")
+    if len(human) < 2:
         raise ValueError("need at least 2 pairs for error analysis")
-    errors = np.asarray(run.scores, dtype=float) - np.asarray(dataset.human_scores(), dtype=float)
+    errors = np.asarray(scores, dtype=float) - np.asarray(human, dtype=float)
     abs_errors = np.abs(errors)
     bandwidth, fallback = _rule_of_thumb_bandwidth(errors)
     grid, density = gaussian_kde(errors, bandwidth)

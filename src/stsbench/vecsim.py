@@ -18,6 +18,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .core import read_lines
+
 POOLING_MODES = ("mean", "min", "max", "sum")
 
 
@@ -41,35 +43,34 @@ def load_vectors(path: str | Path) -> VectorModel:
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
     declared_count: int | None = None
-    with path.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and not table:
-                try:
-                    declared_count, header_dim = int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    dim = header_dim
-                    continue
-            token, values = parts[0], parts[1:]
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2 and not table:
             try:
-                vec = np.array([float(v) for v in values], dtype=float)
-            except ValueError as exc:
-                raise VectorFormatError(f"{path}:{lineno}: {exc}") from None
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise VectorFormatError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(vec)}")
-            if not np.all(np.isfinite(vec)):
-                raise VectorFormatError(f"{path}:{lineno}: non-finite component")
-            if token in table:
-                warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
+                declared_count, header_dim = int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                dim = header_dim
                 continue
-            table[token] = vec
+        token, values = parts[0], parts[1:]
+        try:
+            vec = np.array([float(v) for v in values], dtype=float)
+        except ValueError as exc:
+            raise VectorFormatError(f"{path}:{lineno}: {exc}") from None
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise VectorFormatError(
+                f"{path}:{lineno}: expected {dim} components, got {len(vec)}")
+        if not np.all(np.isfinite(vec)):
+            raise VectorFormatError(f"{path}:{lineno}: non-finite component")
+        if token in table:
+            warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
+            continue
+        table[token] = vec
     if dim is None:
         raise VectorFormatError(f"{path}: no vectors found")
     if declared_count is not None and declared_count != len(table):

@@ -45,8 +45,6 @@ from stsbench.strsim import levenshtein_pair_scores, pair_scores, token_pair_sco
 from test_stats import naive_pearson
 from test_strsim import EXAMPLE_S1, EXAMPLE_S2
 
-from stsbench.core import BenchmarkRun
-
 
 def _report(criterion: str, ok: bool, detail: str = ""):
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
@@ -228,7 +226,7 @@ def test_criterion_7_kde_normalization(rng):
         ds = make_dataset(rng, n)
         scores = tuple(np.clip(np.array(ds.human_scores())
                                + rng.normal(0, rng.uniform(0.02, 0.3), size=n), 0, 1))
-        es = error_analysis(BenchmarkRun(ds.name, "m", "c", scores), ds)
+        es = error_analysis(scores, ds.human_scores())
         integral = float(trapezoid(es.kde_density, es.kde_x))
         worst = max(worst, abs(integral - 1.0))
     ok = worst <= 1e-3

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -265,8 +266,10 @@ def test_best_config(tmp_path, rng):
     with warnings.catch_warnings():
         # the two configs may tie on all-lower-case synthetic data
         warnings.simplefilter("ignore")
-        best = best_config(report, "block")
+        best, h = best_config(report, "block")
     assert best in {c.label() for c in plan.measures[0].configs}
+    hs = [row.h for row in report.rows if row.measure_id == "block" and row.config == best]
+    assert h == sum(hs) / len(hs)
     with pytest.raises(ValueError, match="no rows"):
         best_config(report, "jaccard")
 
@@ -297,7 +300,7 @@ def test_best_config_tie_warns():
         bench.ReportRow("d", "block", "cfgB", 0.5, 0.5, 0.5),
     ]
     with pytest.warns(UserWarning, match="tie"):
-        assert best_config(bench.EvalReport(rows), "block") == "cfgA"
+        assert best_config(bench.EvalReport(rows), "block") == ("cfgA", 0.5)
 
 
 def test_throughput(rng):
@@ -340,6 +343,79 @@ def _plan_args(plan_file):
     import argparse
     return argparse.Namespace(dataset=[], annotations=[], measure=[], plan=str(plan_file), **dict.fromkeys(
         ("vectors", "taxonomy", "lexicon", "out", "ner", "tokenizer", "lowercase", "char_filter", "stopwords")))
+
+
+def test_input_files_that_are_not_utf8_fail_at_their_line_before_any_scoring(tmp_path, rng, capsys,
+                                                                          monkeypatch):
+    data = tmp_path / "data.tsv"
+    write_dataset(make_dataset(rng, 5), data)
+    (tmp_path / "taxonomy.tsv").write_text("c1\tc0\n", encoding="utf-8")
+    (tmp_path / "lexicon.tsv").write_text("w\tc1\n", encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"line one\r\nline \xff two\r\n")
+    monkeypatch.setattr(bench, "score_runs", lambda *a: pytest.fail("scored"))
+    ontology = ["--measure", "wbsm-rada", "--taxonomy", str(tmp_path / "taxonomy.tsv"),
+                "--lexicon", str(tmp_path / "lexicon.tsv")]
+    for argv in (["--plan", str(bad)], ["--dataset", f"d={bad}", "--measure", "block"],
+                 ["--dataset", f"d={data}", "--annotations", f"d={bad}", "--measure", "block"],
+                 ["--dataset", f"d={data}", *ontology, "--taxonomy", str(bad)],
+                 ["--dataset", f"d={data}", *ontology, "--lexicon", str(bad)],
+                 ["--dataset", f"d={data}", "--measure", "swem:mean", "--vectors", str(bad)]):
+        for command in ("run", "grid"):
+            out = tmp_path / "out"
+            assert cli.main([command, *argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
+            assert not out.exists()
+    assert cli.main(["validate", "--dataset", f"d={data}", *ontology, "--taxonomy", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
+
+
+def test_packaged_lists_that_are_not_utf8_fail_at_their_line(tmp_path, monkeypatch):
+    from stsbench import preprocess
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a\nb\nc \xff\n")
+    monkeypatch.setattr(preprocess, "_resource_path", lambda kind, name: bad)
+    for load in (preprocess.load_stopwords, preprocess.load_char_filter):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:3: not UTF-8 text$"):
+            load("not-utf8")
+
+
+def test_a_form_feed_in_a_plan_value_stays_on_its_line(tmp_path, capsys):
+    plan_file = tmp_path / "plan.txt"
+    # split at the form feed, line 2 would end a line early and make a comment of the rest
+    plan_file.write_text("measure = block\nout = a\x0c# b\nno key here\n", encoding="utf-8")
+    assert cli.main(["validate", "--plan", str(plan_file)]) == 1
+    assert capsys.readouterr().err == f"error: {plan_file}:3: expected key = value\n"
+
+
+def test_a_dataset_of_one_pair_fails_before_any_scoring(tmp_path, rng, capsys, monkeypatch):
+    big, small = tmp_path / "big.tsv", tmp_path / "small.tsv"
+    write_dataset(make_dataset(rng, 5), big)
+    write_dataset(make_dataset(rng, 1), small)
+    monkeypatch.setattr(bench, "score_runs", lambda *a: pytest.fail("scored"))
+    for command in ("run", "grid"):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--dataset", f"big={big}", "--dataset", f"small={small}",
+                       "--measure", "block", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: dataset 'small' of 1 pair is too small: "
+                                           "Pearson and Spearman need at least 2 pairs\n")
+        assert not out.exists()
+
+
+def test_single_dataset_commands_reject_two_datasets_before_any_load(tmp_path, rng, capsys, monkeypatch):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    for path in (a, b):
+        write_dataset(make_dataset(rng, 5), path)
+    loaded = []
+    monkeypatch.setattr(bench, "load_dataset", lambda *args, **kw: loaded.append(args))
+    for command in ("significance", "error-analysis", "throughput"):
+        rc = cli.main([command, "--dataset", f"a={a}", "--dataset", f"b={b}", "--measure", "block",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: this command needs exactly one dataset, got 2\n"
+    assert loaded == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_sweeps_each_entry_at_its_own_ner_mode(tmp_path):
@@ -788,6 +864,34 @@ def test_grid_output_digest(tmp_path):
     for path in files:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == GRID_DIGEST
+
+
+# sha256 over the stdout of the three commands below, the output directory
+# written as OUT, and over significance.csv and error_kde.csv, whose bytes
+# GRID_DIGEST does not cover.
+COMMANDS_DIGEST = "6f943c0d5c6bf0ca43eafd0faca5c7001cd5abf739dbbf8ab6eba1bb72b781c0"
+
+
+def test_grid_stdout_significance_and_error_kde_digest(tmp_path, capsys):
+    import hashlib
+    path = tmp_path / "a.tsv"
+    write_dataset(_marked_dataset(np.random.default_rng(12), 40, "a"), path)
+    data = ["--dataset", f"a={path}"]
+    fixed = ["--char-filter", "default", "--stopwords", "nltk2018"]
+    measures = [a for m in bench.STRING_MEASURES for a in ("--measure", m)]
+    digest = hashlib.sha256()
+    for argv, written in (
+        (["grid", *data, "--measure", "block", "--measure", "jaccard", "--measure", "levenshtein"], None),
+        (["significance", *data, *measures, "--measure", "block @ lowercase=no", *fixed, "--splits", "5"],
+         "significance.csv"),
+        (["error-analysis", *data, "--measure", "liblock", *fixed], "error_kde.csv"),
+    ):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        digest.update(capsys.readouterr().out.replace(str(out), "OUT").encode())
+        if written:
+            digest.update((out / written).read_bytes())
+    assert digest.hexdigest() == COMMANDS_DIGEST
 
 
 def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from stsbench.core import (
     load_dataset,
     raw_scores_text,
     raw_scores_texts,
+    read_lines,
     read_raw_scores,
     write_dataset,
     write_raw_scores,
@@ -97,6 +99,34 @@ def test_byte_order_mark_is_not_text(tmp_path):
     assert len(load_dataset(p)) == 1
     p = _write(tmp_path, "\ufeff0\ts1\t0\t5\tC1\n", name="ann.tsv")
     assert load_annotations(p) == {(0, "s1"): [Annotation(0, 5, "C1")]}
+
+
+def test_read_lines_ends_lines_at_lf_crlf_and_cr_only(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes("\ufeffa\r\nb\x0cc\rd\u2028e\x85f\n\ng".encode())
+    assert list(read_lines(p)) == [(1, "a"), (2, "b\x0cc"), (3, "d\u2028e\x85f"), (4, ""), (5, "g")]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, end):
+    p = tmp_path / "t.txt"
+    # the bad byte lies past the first chunk that a text stream decodes
+    p.write_bytes("\ufeff".encode() + f"é a\tb\t0.5{end}".encode() * 3000 + f"c\td\t1 \xff{end}".encode("latin-1"))
+    for read in (list, load_dataset):
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(p))}:3001: not UTF-8 text$"):
+            read(read_lines(p) if read is list else p)
+    ann = tmp_path / "ann.tsv"
+    ann.write_bytes(b"0\ts1\t0\t1\t\xc3(\n")
+    with pytest.raises(DatasetError, match=rf"^{re.escape(str(ann))}:1: not UTF-8 text$"):
+        load_annotations(ann)
+
+
+def test_load_dataset_reads_crlf_and_cr_line_ends(tmp_path):
+    for end in ("\r\n", "\r"):
+        p = tmp_path / "d.tsv"
+        p.write_bytes(end.join(["s1\ts2\tscore", "a\tb\t0.5", "", "c\td\t1"]).encode())
+        ds = load_dataset(p)
+        assert [(q.s1.text, q.s2.text, q.human_score) for q in ds.pairs] == [("a", "b", 0.5), ("c", "d", 1.0)]
 
 
 def test_load_dataset_extra_columns_warn(tmp_path):

@@ -322,7 +322,7 @@ def test_error_analysis(rng):
     ds = make_dataset(rng, 30)
     scores = tuple(np.clip(ds.human_scores() + rng.normal(0, 0.1, size=30), 0, 1))
     run = BenchmarkRun(ds.name, "block", "cfg", scores)
-    es = error_analysis(run, ds)
+    es = error_analysis(run.scores, ds.human_scores())
     errors = np.array(scores) - np.array(ds.human_scores())
     assert np.allclose(es.errors, errors)
     assert es.mean == pytest.approx(errors.mean())
@@ -336,12 +336,12 @@ def test_error_analysis_bandwidth_fallback(rng):
     ds = make_dataset(rng, 5)
     shifted = tuple(min(1.0, h) for h in ds.human_scores())
     run = BenchmarkRun(ds.name, "m", "cfg", shifted)
-    es = error_analysis(run, ds)  # all errors identical (zero)
+    es = error_analysis(run.scores, ds.human_scores())  # all errors identical (zero)
     assert es.bandwidth_fallback
     assert es.bandwidth == 1e-3
     # eleven equal errors of 0.6 - 0.5 have a float sd of 1.5e-17, a rounding residue
     pairs = tuple(SentencePair(RawSentence("a"), RawSentence("b"), 0.5) for _ in range(11))
-    es = error_analysis(BenchmarkRun("d", "m", "cfg", (0.6,) * 11), Dataset("d", pairs))
+    es = error_analysis((0.6,) * 11, Dataset("d", pairs).human_scores())
     assert es.bandwidth_fallback
     assert es.bandwidth == 1e-3
 
@@ -357,7 +357,7 @@ def test_error_analysis_tie_cluster_integrates_to_one():
         errors = np.concatenate([np.zeros(n - 5), rng.uniform(-0.5, 0.5, size=5)])
         human = np.array(ds.human_scores())
         run = BenchmarkRun(ds.name, "m", "cfg", tuple(human + errors))
-        es = error_analysis(run, ds)
+        es = error_analysis(run.scores, ds.human_scores())
         assert es.bandwidth_fallback
         assert es.bandwidth == 0.9 * np.std(es.errors, ddof=1) * n ** (-0.2)
         worst = max(worst, abs(float(trapezoid(es.kde_density, es.kde_x)) - 1.0))
@@ -367,7 +367,16 @@ def test_error_analysis_tie_cluster_integrates_to_one():
 def test_error_analysis_validation(rng):
     ds = make_dataset(rng, 5)
     with pytest.raises(ValueError, match="scores"):
-        error_analysis(BenchmarkRun(ds.name, "m", "c", (0.5,)), ds)
+        error_analysis((0.5,), ds.human_scores())
+
+
+def test_error_analysis_rejects_a_side_that_would_broadcast():
+    human = [0.1, 0.3, 0.5, 0.7, 0.9]
+    for scores, other in (([0.5], human), (human, [0.5])):
+        with pytest.raises(ValueError, match=f"^run has {len(scores)} scores, dataset {len(other)} pairs$"):
+            error_analysis(scores, other)
+    with pytest.raises(ValueError, match="need at least 2 pairs"):
+        error_analysis([0.5], [0.5])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

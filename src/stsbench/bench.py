@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -23,7 +23,7 @@ from .core import (
     write_raw_scores,
     write_table,
 )
-from .preprocess import PreprocessConfig, TokenSequence, token_tables
+from .preprocess import PreprocessConfig, token_tables
 from .stats import row_correlations
 
 
@@ -31,18 +31,18 @@ class PlanError(ValueError):
     """Invalid benchmark plan or unresolvable resource."""
 
 
-# measure id -> (family, how it is computed). "string": "ids" for the five
-# token measures, which ``score_runs`` scores a table at a time from its ids
-# by ``strsim.token_pair_scores``, and "text" for Levenshtein, scored through
-# the pair memo by ``strsim.levenshtein_pair_scores`` on each new pair's
-# tokens joined by spaces. "ontology": the word-similarity kind and the NER
-# modes of the token views it reads; UBSM is WBSM over the concept-substituted
-# view, COM averages the two. "swem": the pooling mode. The ontology and SWEM
+# measure id -> (family, how it is computed). "string": the table attribute
+# it reads, "ids" for the five token measures, which ``score_runs`` scores a
+# table at a time from its ids by ``strsim.token_pair_scores``, and "texts"
+# for Levenshtein, scored through the pair memo by
+# ``strsim.levenshtein_pair_scores`` on each new pair's texts. "ontology":
+# the word-similarity kind and the NER modes of the token views it reads;
+# UBSM is WBSM over the concept-substituted view, COM averages the two. "swem": the pooling mode. The ontology and SWEM
 # measures are scored through the pair memo too.
 MEASURES = {
     "qgram": ("string", "ids"), "jaccard": ("string", "ids"),
     "block": ("string", "ids"), "liblock": ("string", "ids"),
-    "levenshtein": ("string", "text"), "overlap": ("string", "ids"),
+    "levenshtein": ("string", "texts"), "overlap": ("string", "ids"),
     "wbsm-rada": ("ontology", ("rada", ("none",))),
     "wbsm-jc": ("ontology", ("jiang-conrath", ("none",))),
     "ubsm-rada": ("ontology", ("rada", ("annotations",))),
@@ -80,15 +80,17 @@ class PairScorer:
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
     measures (both for ``com``). ``score_pairs`` scores a list of pairs of
-    non-empty token sequences of one view; it is None for the five token
-    measures, which have a table kernel. ``com`` is WBSM over each of its
-    views, combined by :func:`score_runs`.
+    non-empty sequences of one view; it is None for the five token
+    measures, which have a table kernel. ``reads`` names the
+    :class:`TokenTable` attribute the measure reads: ``ids`` for the five
+    token measures, ``texts`` for Levenshtein and ``tokens`` for the rest.
+    ``com`` is WBSM over each of its views, combined by :func:`score_runs`.
     ``kernel`` names what the measure computes on one view, and keys both of
     :func:`score_runs`' memos: the word-similarity kind for the WBSM-based
     measures (``wbsm-*``, ``ubsm-*`` and ``com``), which share it, and the
     measure id for every other measure. Two scorers of one kernel give a
     pair of token sequences the same score, so Levenshtein and the ontology
-    and SWEM measures score each distinct pair once per dataset and kernel.
+    and SWEM measures score each distinct pair once per plan and kernel.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -98,9 +100,11 @@ class PairScorer:
         self.config = config
         self.views: tuple[PreprocessConfig, ...] = (config,)
         self.kernel = measure_id
+        self.reads = "tokens"
         family, how = MEASURES[measure_id]
         if family == "string":
             self.score_pairs = None if how == "ids" else _levenshtein_pairs
+            self.reads = how
         elif family == "swem":
             vectors = resources.vectors
             if vectors is None:
@@ -116,11 +120,10 @@ class PairScorer:
             self.score_pairs = lambda pairs: [ontosim.wbsm(a, b, words) for a, b in pairs]
 
 
-def _levenshtein_pairs(pairs: list[tuple[TokenSequence, TokenSequence]]) -> list[float]:
-    """Levenshtein of each pair, by one call on the texts of their distinct sequences."""
-    at = {s: i for i, s in enumerate(dict.fromkeys(seq for pair in pairs for seq in pair))}
-    texts = [" ".join(s) for s in at]
-    return strsim.levenshtein_pair_scores(texts, [(at[a], at[b]) for a, b in pairs]).tolist()
+def _levenshtein_pairs(pairs: list[tuple[str, str]]) -> list[float]:
+    """Levenshtein of each pair of texts, by one call on their distinct texts."""
+    at = {s: i for i, s in enumerate(dict.fromkeys(text for pair in pairs for text in pair))}
+    return strsim.levenshtein_pair_scores(list(at), [(at[a], at[b]) for a, b in pairs]).tolist()
 
 
 @dataclass
@@ -189,64 +192,101 @@ def load_plan_datasets(plan: BenchmarkPlan) -> dict[str, Dataset]:
     return datasets
 
 
-def score_runs(scorers: list[PairScorer], dataset: Dataset
-               ) -> tuple[np.ndarray, list[tuple[int, BenchmarkRun, int, int]]]:
-    """Score a dataset with every scorer: its float64 score matrix, a row
-    per distinct scores list and a column per pair, and the runs as
-    ``(scorer index, run, row, empty)`` in the order they were scored,
-    ``empty`` being the number of pairs scored by the empty-input rule of
-    every measure (:func:`_memo_row`); ``com`` counts a pair empty in either
-    of its views.
+def score_runs(scorers: list[PairScorer], datasets: Sequence[Dataset]
+               ) -> Iterator[tuple[np.ndarray, list[tuple[int, BenchmarkRun, int, int]]]]:
+    """Score every dataset with every scorer, in one pass over the plan, and
+    yield each dataset's float64 score matrix, a row per distinct scores list
+    and a column per pair, and its runs as ``(scorer index, run, row,
+    empty)`` in the order they were scored, ``empty`` being the number of
+    pairs scored by the empty-input rule of every measure (:func:`_memo_row`);
+    ``com`` counts a pair empty in either of its views.
 
-    Each distinct sentence is pre-processed through :func:`token_tables`,
-    in grid order, and every scorer reading a config scores its table in the
-    step that made it. Configs often give equal tables (22 distinct of the
-    48 grid configs on the benchmark's string corpus), so the memo maps
-    (kernel, :attr:`TokenTable.key`) to a matrix row and every config with
-    that key gets the very same row. The key is a sha256 of the table's
+    Everything is scored before the first dataset is yielded, and each
+    dataset gives back what it would give scored alone: its runs, its
+    empty counts and, once its turn comes, its warnings. A measure that
+    reads the ``ner=annotations`` view of a dataset without annotations
+    warns once, just before the dataset is yielded; the empty-input warning
+    is the caller's, so that it can come after the run's statistics, beside
+    their warnings (:func:`report_rows`).
+
+    The distinct sentences of every dataset are pre-processed through one
+    :func:`token_tables` call, in grid order, so the plan has one
+    vocabulary and one map per stage option, and every scorer reading a
+    config scores its table, over the pairs of every dataset, in the step
+    that made it. Configs often give equal tables (22 distinct of the 48
+    grid configs on the benchmark's string corpus), so the memo maps
+    (kernel, :attr:`TokenTable.key`) to a row and every config with that
+    key gets the very same row. The key is a sha256 of the table's
     whitespace split and its composed stage map, so a table whose key was
-    seen is neither expanded to ids nor scored again; its empty-pair mask
-    is kept per key too. Ids are numbered per call, so the memo lives for
-    one call. The kernel is :attr:`PairScorer.kernel`, so a table that
-    ``wbsm-rada``, ``ubsm-rada`` and ``com`` all read is scored once.
+    seen is neither expanded to ids nor scored again; its empty-pair mask is
+    kept per key too. The kernel is :attr:`PairScorer.kernel`, so a table
+    that ``wbsm-rada``, ``ubsm-rada`` and ``com`` all read is scored once.
 
     A new table is scored in one of two ways. The five token measures come
     from one :func:`strsim.token_pair_scores` call on its ids; they never
     decode a table, which the pair memo's keys need, and a memo over their
-    pairs was measured slower (see the README). Levenshtein and the
-    ontology and SWEM measures go through the pair memo, which maps
-    (kernel, pair of token sequences) to a score: tables that differ still
-    share most sentence pairs, so each distinct pair of token sequences, in
-    order, is scored once per dataset and kernel, and each row is gathered
-    from the memo (:func:`_memo_row`). ``com`` keeps the row of each of its
-    views and, at the last one, combines them with :func:`ontosim.com`. A
-    measure that reads the ``ner=annotations`` view of a dataset without
-    annotations warns once; the empty-input warning is the caller's, so
-    that it can come after the run's statistics, beside their warnings
-    (:func:`report_rows`).
+    pairs was measured slower (see the README). Levenshtein
+    and the ontology and SWEM measures go through the pair memo, which maps
+    (kernel, pair of sequences) to a score: tables that differ still share
+    most sentence pairs, so each distinct pair, in order, is scored once per
+    plan and kernel, and each row is gathered from the memo
+    (:func:`_memo_row`). Levenshtein keys the memo on the tables' texts
+    (:attr:`TokenTable.texts`), the other measures on their token sequences
+    (:attr:`TokenTable.tokens`). ``com`` keeps the row of each of its views
+    and, at the last one, combines them with :func:`ontosim.com`.
+
+    A dataset's matrix holds the columns of its pairs. Tables that differ
+    over the plan can still score one dataset alike, so the rows of the
+    tables are deduplicated by their bytes, and every run whose scores are
+    equal points at one row; each ``com`` run keeps a row of its own.
     """
     ids: dict[RawSentence, int] = {}
-    pairs = [(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in dataset.pairs]
+    indexes = [[(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in ds.pairs]
+               for ds in datasets]
+    bounds = np.cumsum([0, *map(len, indexes)]).tolist()
+    rows, runs = _score_tables(scorers, list(ids), [pair for index in indexes for pair in index])
+    annotated = dict.fromkeys(s.measure_id for s in scorers if any(v.ner == "annotations" for v in s.views))
+    for dataset, start, stop in zip(datasets, bounds, bounds[1:]):
+        if not any(s.annotations for p in dataset.pairs for s in (p.s1, p.s2)):
+            for mid in annotated:
+                warnings.warn(f"{mid} on {dataset.name!r}: no sentence has annotations, so the "
+                              "ner=annotations view is the text without concept substitution")
+        columns: list[np.ndarray] = []
+        here: dict[bytes | int, int] = {}  # a table row's bytes on this dataset, or a com row -> row here
+        mine = []
+        for k, row, empty in runs:
+            part = rows[row][start:stop]
+            i = here.setdefault(part.tobytes() if len(scorers[k].views) == 1 else row, len(here))
+            if i == len(columns):
+                columns.append(part)
+            mine.append((k, i, np.count_nonzero(empty[start:stop])))
+        matrix = np.array(columns, dtype=np.float64)
+        scores = [tuple(r) for r in matrix.tolist()]
+        yield matrix, [(k, BenchmarkRun(dataset.name, scorers[k].measure_id, scorers[k].config.label(),
+                                        scores[i]), i, empty) for k, i, empty in mine]
+
+
+def _score_tables(scorers: list[PairScorer], sentences: list[RawSentence], pairs: list[tuple[int, int]]
+                  ) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
+    """The rows of :func:`score_runs` over the plan's pairs of sentences:
+    the rows, and each run as (scorer index, row, empty-pair mask)."""
     pair_index = np.array(pairs)
-    if not any(s.annotations for s in ids):
-        for mid in dict.fromkeys(s.measure_id for s in scorers if any(v.ner == "annotations" for v in s.views)):
-            warnings.warn(f"{mid} on {dataset.name!r}: no sentence has annotations, so the "
-                          "ner=annotations view is the text without concept substitution")
     readers: dict[PreprocessConfig, list[int]] = {}
     for k, scorer in enumerate(scorers):
         for view in scorer.views:
             readers.setdefault(view, []).append(k)
     memo: dict[tuple[str, bytes], int] = {}  # (kernel, table key) -> row
-    pair_memo: dict[str, dict] = {}  # kernel -> (token sequence, token sequence) -> score
+    pair_memo: dict[str, dict] = {}  # kernel -> (sequence, sequence) -> score
     empties: dict[bytes, np.ndarray] = {}  # table key -> mask of the pairs with an empty side
     rows: list[np.ndarray] = []
     view_rows: dict[int, dict[PreprocessConfig, tuple[int, np.ndarray]]] = {}  # com's views so far: row, mask
-    runs: list[tuple[int, int, np.ndarray]] = []  # (scorer index, row, empty-pair mask)
-    for cfg, table in token_tables(list(ids), readers):
+    runs: list[tuple[int, int, np.ndarray]] = []
+    for cfg, table in token_tables(sentences, readers):
         key = table.key
         if key not in empties:
             empties[key] = table.lengths[pair_index].min(axis=1) == 0
-        batch = token_pairs = None
+        batch = None
+        memo_keys: dict[str, list] = {}  # "texts" or "tokens" -> the table's pairs of them
         for k in readers[cfg]:
             scorer, empty = scorers[k], empties[key]
             row = memo.get((scorer.kernel, key))
@@ -255,10 +295,10 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
                     batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
                     rows.append(batch[scorer.measure_id])
                 else:
-                    if token_pairs is None:
-                        tokens = table.tokens
-                        token_pairs = [(tokens[a], tokens[b]) for a, b in pairs]
-                    rows.append(_memo_row(scorer, token_pairs, pair_memo.setdefault(scorer.kernel, {})))
+                    if scorer.reads not in memo_keys:
+                        seqs = getattr(table, scorer.reads)
+                        memo_keys[scorer.reads] = [(seqs[a], seqs[b]) for a, b in pairs]
+                    rows.append(_memo_row(scorer, memo_keys[scorer.reads], pair_memo.setdefault(scorer.kernel, {})))
                 row = memo[scorer.kernel, key] = len(rows) - 1
             if len(scorer.views) > 1:
                 done = view_rows.setdefault(k, {})
@@ -268,16 +308,14 @@ def score_runs(scorers: list[PairScorer], dataset: Dataset
                 rows.append(ontosim.com(*(rows[done[v][0]] for v in scorer.views)))
                 row, empty = len(rows) - 1, np.any([done[v][1] for v in scorer.views], axis=0)
             runs.append((k, row, empty))
-    matrix = np.array(rows, dtype=np.float64)
-    scores = [tuple(r) for r in matrix.tolist()]
-    return matrix, [(k, BenchmarkRun(dataset.name, scorers[k].measure_id, scorers[k].config.label(), scores[row]),
-                     row, np.count_nonzero(empty)) for k, row, empty in runs]
+    return rows, runs
 
 
-def _memo_row(scorer: PairScorer, pairs: list[tuple[TokenSequence, TokenSequence]],
-              memo: dict[tuple[TokenSequence, TokenSequence], float]) -> np.ndarray:
-    """The scorer's score of each pair of token sequences, read from
-    ``memo``, the scores of its kernel so far. The pairs that the memo lacks
+def _memo_row(scorer: PairScorer, pairs: list[tuple[Sequence, Sequence]],
+              memo: dict[tuple[Sequence, Sequence], float]) -> np.ndarray:
+    """The scorer's score of each pair of sequences (texts or token
+    sequences, as ``scorer.reads``), read from ``memo``, the scores of its
+    kernel so far. The pairs that the memo lacks
     are scored first, so a pair that an earlier table scored gets the very
     same float: a pair with an empty side by the empty-input rule, 1.0 if
     both sides are empty and 0.0 if one is, and the rest by one
@@ -293,7 +331,7 @@ def _memo_row(scorer: PairScorer, pairs: list[tuple[TokenSequence, TokenSequence
 def score_dataset(scorer: PairScorer, dataset: Dataset) -> BenchmarkRun:
     """Score every pair of a dataset with one scorer, warning about the pairs
     scored by the empty-input rule."""
-    _, [(_, result, _, empty)] = score_runs([scorer], dataset)
+    [(_, [(_, result, _, empty)])] = score_runs([scorer], [dataset])
     _warn_run(result, empty)
     return result
 
@@ -394,9 +432,10 @@ def report_rows(matrix: np.ndarray, runs: list[tuple[int, BenchmarkRun, int, int
 def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     """Execute a validated plan: score, persist raw CSVs, build the report.
 
-    Runs and report rows come in plan order: measure, config, dataset. Each
-    dataset's runs are scored first; then its statistics and raw-score text
-    come from its score matrix, a row per distinct scores list
+    Runs and report rows come in plan order: measure, config, dataset. The
+    runs of every dataset are scored first, in one pass (:func:`score_runs`);
+    then each dataset's statistics and raw-score text come from its score
+    matrix, a row per distinct scores list
     (:func:`report_rows`, :func:`core.raw_scores_texts`), and each config
     still has its own file and warns under its own label. The file of a run
     whose row an earlier run of the dataset wrote is a hard link to that
@@ -413,8 +452,7 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     done: dict[tuple[int, str], tuple[BenchmarkRun, ReportRow]] = {}
-    for name, dataset in datasets.items():
-        matrix, runs = score_runs(scorers, dataset)
+    for (name, dataset), (matrix, runs) in zip(datasets.items(), score_runs(scorers, list(datasets.values()))):
         rows = report_rows(matrix, runs, dataset.human_scores())
         texts = raw_scores_texts(matrix)
         written: dict[int, Path] = {}  # matrix row -> the first file written with its text

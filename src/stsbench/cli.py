@@ -175,25 +175,28 @@ def _cmd_run(args, grid: bool = False) -> int:
     return 0
 
 
-def _single_dataset(plan: BenchmarkPlan):
-    if len(plan.datasets) != 1:
+def _refuse_several_datasets(plan: BenchmarkPlan) -> None:
+    """Refuse a plan of several datasets before any resource or dataset is
+    loaded; ``validate_plan`` refuses a plan of none."""
+    if len(plan.datasets) > 1:
         raise PlanError(f"this command needs exactly one dataset, got {len(plan.datasets)}")
-    [dataset] = bench.load_plan_datasets(plan).values()
-    return dataset
 
 
 def _single_scorer(args, command: str):
     plan = build_plan(args)
     if len(plan.measures) != 1 or len(plan.measures[0].configs) != 1:
         raise PlanError(f"{command} needs exactly one measure")
+    _refuse_several_datasets(plan)
     [scorer] = bench.validate_plan(plan)
-    return plan, scorer, _single_dataset(plan)
+    [dataset] = bench.load_plan_datasets(plan).values()
+    return plan, scorer, dataset
 
 
 def _cmd_significance(args) -> int:
     plan = build_plan(args)
+    _refuse_several_datasets(plan)
     scorers = bench.validate_plan(plan)
-    dataset = _single_dataset(plan)
+    [dataset] = bench.load_plan_datasets(plan).values()
     most = len(dataset) // 2
     if most < 2:
         raise PlanError(f"dataset {dataset.name!r} of {len(dataset)} pairs is too small for a significance "
@@ -207,7 +210,7 @@ def _cmd_significance(args) -> int:
                         f"of {len(dataset)} pairs: each split needs at least 2 pairs, "
                         f"so at most {most} splits")
     parts = stats.uniform_split(len(dataset), args.splits)
-    matrix, runs = bench.score_runs(scorers, dataset)
+    [(matrix, runs)] = bench.score_runs(scorers, [dataset])
     rows = bench.report_rows(matrix, runs, dataset.human_scores(), parts)
     hs = {k: [row.h for row in part_rows] for (k, *_), part_rows in zip(runs, rows)}
     # a measure evaluated at several configs gets one row per config

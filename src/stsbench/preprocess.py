@@ -271,14 +271,17 @@ class TokenTable:
     the map, so tables with equal keys are equal. ``ids`` holds every
     sentence's token ids back to back and ``lengths`` the number of tokens of
     each sentence, both built on first use; ``vocab`` holds the token of each
-    id. All tables of one :func:`token_tables` call share one vocabulary,
-    which only grows, so an id means the same token in each of them.
+    id, and ``sizes`` the length in code points of each token up to the
+    table's highest id. All tables of one :func:`token_tables` call share
+    one vocabulary, which only grows, so an id means the same token in each
+    of them.
     """
 
     split: _Split
     counts: np.ndarray
     targets: np.ndarray
     vocab: list[str]
+    sizes: np.ndarray
 
     @functools.cached_property
     def key(self) -> bytes:
@@ -297,26 +300,50 @@ class TokenTable:
     def lengths(self) -> np.ndarray:
         return self._expanded[1]
 
+    def _words(self) -> list[str]:
+        """Every sentence's tokens back to back, by one gather."""
+        return np.array(self.vocab, dtype=object)[self.ids].tolist()
+
     @functools.cached_property
     def tokens(self) -> list[TokenSequence]:
         """The table decoded to one token sequence per sentence, built on first use."""
-        flat = list(map(self.vocab.__getitem__, self.ids.tolist()))
+        flat = self._words()
         ends = np.cumsum(self.lengths).tolist()
         return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
+    @functools.cached_property
+    def texts(self) -> list[str]:
+        """Each sentence's tokens joined by single spaces, built on first use
+        by one join of the whole table and a slice per sentence.
+
+        No token is empty or holds a space, so a text stands for exactly one
+        token sequence: equal texts mean equal sequences.
+        """
+        ids = self.ids
+        # token k, and the space after it, start at offset[k] of the joined table
+        offset = np.concatenate([[0], np.cumsum(self.sizes[ids] + 1)])
+        first = np.concatenate([[0], np.cumsum(self.lengths)])
+        starts, ends = offset[first[:-1]], offset[first[1:]] - (self.lengths > 0)
+        flat = " ".join(self._words())
+        return [flat[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+
 
 class _Vocabulary:
-    """Token strings numbered in order of first appearance."""
+    """Token strings numbered in order of first appearance, and the length
+    of each in code points."""
 
     def __init__(self):
         self.tokens: list[str] = []
+        self.sizes = np.empty(0, np.int64)
         self._index: dict[str, int] = {}
 
     def ids(self, tokens: Sequence[str]) -> np.ndarray:
         """The id of each token, numbering the tokens not seen before."""
         new = [t for t in dict.fromkeys(tokens) if t not in self._index]
-        self._index.update(zip(new, itertools.count(len(self.tokens))))
-        self.tokens.extend(new)
+        if new:
+            self._index.update(zip(new, itertools.count(len(self.tokens))))
+            self.tokens.extend(new)
+            self.sizes = np.concatenate([self.sizes, np.fromiter(map(len, new), np.int64, len(new))])
         return np.fromiter(map(self._index.__getitem__, tokens), np.int64, len(tokens))
 
 
@@ -347,14 +374,15 @@ class _IdMap:
     def _learn(self, ids: np.ndarray) -> None:
         """Run the stage on the tokens of ``ids`` not seen before, in id order."""
         grow = len(self._vocab.tokens) - len(self._count)
-        self._count = np.concatenate([self._count, np.full(grow, -1, np.int64)])
-        self._start = np.concatenate([self._start, np.zeros(grow, np.int64)])
+        if grow:
+            self._count = np.concatenate([self._count, np.full(grow, -1, np.int64)])
+            self._start = np.concatenate([self._start, np.zeros(grow, np.int64)])
         present = np.zeros(len(self._count), bool)
         present[ids] = True
-        new = np.flatnonzero(present & (self._count < 0)).tolist()
-        if not new:
+        new = np.flatnonzero(present & (self._count < 0))
+        if not len(new):
             return
-        outs = self._stage([self._vocab.tokens[i] for i in new])
+        outs = self._stage([self._vocab.tokens[i] for i in new.tolist()])
         sizes = np.fromiter(map(len, outs), np.int64, len(outs))
         self._count[new] = sizes
         self._start[new] = len(self._targets) + np.cumsum(sizes) - sizes
@@ -395,7 +423,7 @@ def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessC
                     maps[name] = _IdMap(stage, vocab)
                 composed[path] = maps[name](*composed[prefix])
         targets, counts = composed[path]
-        yield cfg, TokenTable(split, counts, targets, vocab.tokens)
+        yield cfg, TokenTable(split, counts, targets, vocab.tokens, vocab.sizes)
 
 
 def full_grid(with_ner: bool = False, ner: str = "none") -> list[PreprocessConfig]:

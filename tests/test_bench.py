@@ -418,6 +418,23 @@ def test_single_dataset_commands_reject_two_datasets_before_any_load(tmp_path, r
     assert not (tmp_path / "out").exists()
 
 
+def test_single_dataset_commands_reject_two_datasets_before_any_resource_load(tmp_path, rng, capsys, monkeypatch):
+    tax_path, lex_path = _onto_files(tmp_path)
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    for path in (a, b):
+        write_dataset(make_dataset(rng, 5), path)
+    loads = []
+    load_taxonomy = ontosim.load_taxonomy
+    monkeypatch.setattr(ontosim, "load_taxonomy", lambda *args: loads.append(args) or load_taxonomy(*args))
+    for command in ("significance", "error-analysis", "throughput"):
+        rc = cli.main([command, "--dataset", f"a={a}", "--dataset", f"b={b}", "--measure", "wbsm-rada",
+                       "--taxonomy", str(tax_path), "--lexicon", str(lex_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: this command needs exactly one dataset, got 2\n"
+    assert loads == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_sweeps_each_entry_at_its_own_ner_mode(tmp_path):
     plan_file = tmp_path / "plan.txt"
     plan_file.write_text("grid = yes\nmeasure = block @ ner=annotations\nmeasure = liblock\n"
@@ -669,10 +686,10 @@ def test_sliced_h_equals_h_of_the_part_scored_alone(seed, n, k, measure, config)
     human = ds.human_scores()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate parts and emptied sentences warn
-        whole = bench.score_runs([scorer], ds)
+        whole = next(bench.score_runs([scorer], [ds]))
         for part in uniform_split(n, k):
             alone = Dataset(ds.name, ds.pairs[part])
-            [[row_alone]] = bench.report_rows(*bench.score_runs([scorer], alone), alone.human_scores())
+            [[row_alone]] = bench.report_rows(*next(bench.score_runs([scorer], [alone])), alone.human_scores())
             [[row_sliced]] = bench.report_rows(*whole, human, [part])
             assert np.float64(row_sliced.h).tobytes() == np.float64(row_alone.h).tobytes()
 
@@ -812,9 +829,9 @@ def test_wbsm_measures_score_each_table_once(tmp_path, monkeypatch, annotated, c
     svs = ontosim.semantic_vector_sim
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the unannotated concept view warns
-        alone = [[run.scores for _, run, _, _ in bench.score_runs([s], ds)[1]] for s in scorers]
+        alone = [[run.scores for _, run, _, _ in next(bench.score_runs([s], [ds]))[1]] for s in scorers]
         monkeypatch.setattr(ontosim, "semantic_vector_sim", lambda *a: counted.append(1) or svs(*a))
-        matrix, runs = bench.score_runs(scorers, ds)
+        matrix, runs = next(bench.score_runs(scorers, [ds]))
     assert (len(counted), len(matrix)) == (calls, n_rows)
     assert [[run.scores] for _, run, _, _ in runs] == alone
 
@@ -949,7 +966,7 @@ def _grid_files(plan: BenchmarkPlan) -> dict[tuple[str, str, str], tuple[Path, s
     scorers = validate_plan(plan)
     rows = {}
     for name, ds in bench.load_plan_datasets(plan).items():
-        rows.update({(name, k): row for k, _, row, _ in bench.score_runs(scorers, ds)[1]})
+        rows.update({(name, k): row for k, _, row, _ in next(bench.score_runs(scorers, [ds]))[1]})
     order = [(k, name) for k in range(len(scorers)) for name in plan.datasets]
     return {(name, run.measure_id, run.preprocess_config):
             (plan.out_dir / bench._run_file_name(run), raw_scores_text(run.scores), rows[name, k])
@@ -1035,7 +1052,7 @@ def test_pair_memo_scores_each_distinct_pair_once_per_kernel(tmp_path, monkeypat
     scorers = [PairScorer(m, cfg, resources) for m in kernels for cfg in configs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the unannotated concept view warns
-        alone = [bench.score_runs([s], ds)[1][0][1].scores for s in scorers]
+        alone = [next(bench.score_runs([s], [ds]))[1][0][1].scores for s in scorers]
 
     scored = Counter()  # (kernel, first sequence, second sequence)
     lev_calls = []
@@ -1052,7 +1069,7 @@ def test_pair_memo_scores_each_distinct_pair_once_per_kernel(tmp_path, monkeypat
                         or swem(a, b, model, mode))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, runs = bench.score_runs(scorers, ds)
+        _, runs = next(bench.score_runs(scorers, [ds]))
 
     views = {cfg: [(preprocess(p.s1, cfg), preprocess(p.s2, cfg)) for p in ds.pairs] for cfg in configs}
     none, default, _ = views.values()
@@ -1065,6 +1082,77 @@ def test_pair_memo_scores_each_distinct_pair_once_per_kernel(tmp_path, monkeypat
     assert len(runs) == len(scorers)
     for k, run, _, _ in runs:
         assert np.array(run.scores).tobytes() == np.array(alone[k]).tobytes()
+
+
+def test_scoring_a_plan_of_datasets_gives_each_what_it_gets_alone(tmp_path, monkeypatch):
+    # a: no "%", so cf=default and cf=biosses give it equal tables, and no
+    # annotations, so the ner=annotations view is its text; b: "%" and
+    # annotations; c: no annotations either, and a sentence of a and of b
+    from collections import Counter
+    from dataclasses import replace
+    from conftest import VOCAB
+    from stsbench import strsim, vecsim
+    from stsbench.core import Annotation, RawSentence, SentencePair
+    from stsbench.preprocess import token_tables
+    rng = np.random.default_rng(8)
+    a = _marked_dataset(rng, 12, "a", ("The {}.", "{}-binding, not [x]", "{}"))
+    a = Dataset("a", a.pairs + (SentencePair(RawSentence("The of"), RawSentence("gene of"), 0.4),))
+    b = _marked_dataset(rng, 10, "b")
+    b = Dataset("b", tuple(SentencePair(replace(p.s1, annotations=(Annotation(0, 1, f"C{i % 3}"),)), p.s2,
+                                        p.human_score) for i, p in enumerate(b.pairs)))
+    c = Dataset("c", (SentencePair(a.pairs[0].s1, b.pairs[0].s2, 0.7),) + make_dataset(rng, 8, "c").pairs)
+    datasets = [a, b, c]
+
+    tax_path, lex_path = _onto_files(tmp_path)
+    resources = Resources(vectors=vecsim.VectorModel(8, {w: rng.normal(size=8) for w in VOCAB}),
+                          taxonomy=ontosim.load_taxonomy(tax_path), lexicon=ontosim.load_lexicon(lex_path))
+    configs = [PreprocessConfig(tokenizer=tok, char_filter=cf, stopwords=sw)
+               for tok in ("whitespace", "treebank-rules") for cf in ("none", "default", "biosses")
+               for sw in ("none", "nltk2018")]
+    concept = [replace(cfg, ner="annotations") for cfg in configs[:4]]
+    scorers = ([PairScorer(m, cfg, resources) for m in bench.STRING_MEASURES for cfg in configs]
+               + [PairScorer(m, cfg, resources) for m in ("jaccard", "levenshtein") for cfg in concept]
+               + [PairScorer(m, cfg, resources) for m in ("com", "swem:mean") for cfg in configs[:2]])
+
+    def twin(ds, cfg):  # the tables of cfg and of its cf=biosses twin on ds
+        return [[(preprocess(p.s1, c), preprocess(p.s2, c)) for p in ds.pairs]
+                for c in (cfg, replace(cfg, char_filter="biosses"))]
+
+    collapsing = configs[2]  # tok=whitespace, cf=default, sw=none
+    assert twin(a, collapsing)[0] == twin(a, collapsing)[1] and twin(b, collapsing)[0] != twin(b, collapsing)[1]
+    assert a.pairs[0].s1 in {s for p in c.pairs for s in (p.s1, p.s2)}
+
+    def scored(group):
+        """Each dataset's matrix, runs and empty counts, bit for bit, and the warnings in order."""
+        out = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for ds, (matrix, runs) in zip(group, bench.score_runs(scorers, group)):
+                bench.report_rows(matrix, runs, ds.human_scores())
+                out.append((matrix.shape, matrix.tobytes(),
+                            [(k, run.dataset_name, run.measure_id, run.preprocess_config,
+                              np.array(run.scores).tobytes(), row, empty) for k, run, row, empty in runs]))
+        return out, [str(w.message) for w in caught]
+
+    calls = Counter()
+    kernel = strsim.token_pair_scores
+    monkeypatch.setattr(strsim, "token_pair_scores", lambda *args: calls.update(["token"]) or kernel(*args))
+    alone = [scored([ds]) for ds in datasets]
+    alone_calls = calls.pop("token")
+    together, caught = scored(datasets)
+    assert together == [out for (out,), _ in alone]
+    assert caught == [message for _, messages in alone for message in messages]
+    assert sum("no sentence has annotations" in m for m in caught) == 3 * 2  # jaccard, levenshtein, com on a, c
+    assert any("empty-input rule" in m for m in caught)
+    # the runs of the collapsing config and its twin share a row on a, not on b
+    at = {(run[3], run[2], name): run[5] for (_, _, runs), name in zip(together, "abc") for run in runs}
+    for name, shared in (("a", True), ("b", False)):
+        assert (at[collapsing.label(), "levenshtein", name]
+                == at[replace(collapsing, char_filter="biosses").label(), "levenshtein", name]) == shared, name
+    # one token kernel call per distinct table of the plan's sentences
+    sentences = list(dict.fromkeys(s for ds in datasets for p in ds.pairs for s in (p.s1, p.s2)))
+    tables = {(t.lengths.tobytes(), t.ids.tobytes()) for _, t in token_tables(sentences, configs + concept)}
+    assert calls["token"] == len(tables) < alone_calls
 
 
 def test_equal_stage_maps_share_one_key_and_build_once(monkeypatch):
@@ -1093,7 +1181,7 @@ def test_equal_stage_maps_share_one_key_and_build_once(monkeypatch):
     counted = functools.cached_property(lambda table: built.append(table.key) or expand(table))
     counted.__set_name__(module.TokenTable, "_expanded")
     monkeypatch.setattr(module.TokenTable, "_expanded", counted)
-    matrix, runs = bench.score_runs([PairScorer("qgram", cfg, Resources()) for cfg in full_grid()], ds)
+    matrix, runs = next(bench.score_runs([PairScorer("qgram", cfg, Resources()) for cfg in full_grid()], [ds]))
     assert built == keys
     assert len(matrix) == len(keys) and len(runs) == 48
 

@@ -309,3 +309,55 @@ def test_batched_stages_equal_the_per_token_stages(tokens):
     assert batched.keys() == per_token.keys()
     for name, stage in batched.items():
         assert [tuple(out) for out in stage(tokens)] == [per_token[name](t) for t in tokens], name
+
+
+def test_token_table_texts_join_each_sentence_by_spaces():
+    # empty and all-filtered sentences, annotations, code points outside the
+    # BMP, İ, which lower-cases to two code points, and a word-final capital
+    # sigma, whose lower case depends on the letters around it
+    sentences = [
+        RawSentence(""),
+        RawSentence("The of AND"),
+        RawSentence(". , ; ( )"),
+        RawSentence(EXAMPLE_TEXT, EXAMPLE_ANNOTATIONS),
+        RawSentence("𝔊𝔢𝔫𝔢 😀 IL-𝟞 binds 𠀋-x.", (Annotation(0, 8, "C𝔡01"),)),
+        RawSentence("İstanbul İL-6, ΟΔΟΣ ΛΟΓΟΣ. ΑΣ'Α"),
+        RawSentence("The of AND"),
+    ]
+    pairs = set()  # (text, token sequence) over every table
+    for cfg, table in token_tables(sentences, full_grid(with_ner=True)):
+        assert table.texts == [" ".join(tokens) for tokens in table.tokens], cfg.label()
+        pairs.update(zip(table.texts, table.tokens))
+    texts, sequences = zip(*pairs)
+    # distinct token sequences give distinct texts
+    assert len(set(texts)) == len(set(sequences)) == len(pairs)
+    assert "" in texts and any(len(t) > 1 and not t.isascii() for t in texts)
+
+
+# Every axis of the grid acts on these two sentences:
+# - lc: "The", "IL", "Cells" and "miR" keep their capitals under every filter;
+# - cf: none keeps the full stops, which default deletes; default keeps "%",
+#   which biosses deletes; biosses keeps "±", which blagec2019 maps to a space;
+# - tok: "5±2" is one whitespace token and three treebank-rules tokens, and
+#   neither none, default nor biosses removes "±";
+# - sw: "may" is only on the biosses list and "just" and "now" only on
+#   nltk2018, so each list drops a word the other keeps.
+# cf=blagec2019 maps every non-alphanumeric character to a space, and neither
+# tokenizer splits between two alphanumeric characters, so under it both
+# tokenizers give the same runs of alphanumeric characters: a collapse at each
+# of the 2 x 3 (lc, sw) pairs. 4 x 2 x 2 x 3 = 48 configs, 48 - 6 = 42 tables.
+_EVERY_AXIS = ("The level may rise in 5% of the IL-6 cases (e.g. 5±2), just now.",
+               "Cells express miR-146a; p<0.05.")
+
+
+def test_every_grid_axis_acts_on_a_crafted_corpus():
+    sentences = [RawSentence(text) for text in _EVERY_AXIS]
+    tables = dict(token_tables(sentences, full_grid()))
+    groups: dict[tuple[bytes, bytes], list[PreprocessConfig]] = {}  # configs in grid order
+    for cfg, table in tables.items():
+        groups.setdefault((table.lengths.tobytes(), table.ids.tobytes()), []).append(cfg)
+    collapses = [group for group in groups.values() if len(group) > 1]
+    assert collapses == [[PreprocessConfig(tokenizer=tok, lowercase=lc, char_filter="blagec2019", stopwords=sw)
+                          for tok in OPTIONS["tokenizer"]]
+                         for lc in OPTIONS["lowercase"] for sw in OPTIONS["stopwords"]]
+    assert len(groups) == len({table.key for table in tables.values()}) == 42

@@ -31,14 +31,14 @@ class PlanError(ValueError):
     """Invalid benchmark plan or unresolvable resource."""
 
 
-# measure id -> (family, how it is computed). "string": the table attribute
-# it reads, "ids" for the five token measures, which ``score_runs`` scores a
-# table at a time from its ids by ``strsim.token_pair_scores``, and "texts"
-# for Levenshtein, scored through the pair memo by
-# ``strsim.levenshtein_pair_scores`` on each new pair's texts. "ontology":
-# the word-similarity kind and the NER modes of the token views it reads;
-# UBSM is WBSM over the concept-substituted view, COM averages the two. "swem": the pooling mode. The ontology and SWEM
-# measures are scored through the pair memo too.
+# measure id -> (family, how it is computed). "string": "ids" for the five
+# token measures, which ``score_runs`` scores a table at a time from its ids
+# by ``strsim.token_pair_scores``, and "texts" for Levenshtein, scored by
+# ``strsim.levenshtein_pair_scores``. "ontology": the word-similarity kind
+# and the NER modes of the token views it reads; UBSM is WBSM over the
+# concept-substituted view, COM averages the two. "swem": the pooling mode.
+# Every measure but the five token measures is scored through the pair memo,
+# on the texts of each new pair.
 MEASURES = {
     "qgram": ("string", "ids"), "jaccard": ("string", "ids"),
     "block": ("string", "ids"), "liblock": ("string", "ids"),
@@ -80,17 +80,16 @@ class PairScorer:
     ``views`` are the configs whose token sequences the measure reads: the
     scorer's own config, or its word and concept variants for the ontology
     measures (both for ``com``). ``score_pairs`` scores a list of pairs of
-    non-empty sequences of one view; it is None for the five token
-    measures, which have a table kernel. ``reads`` names the
-    :class:`TokenTable` attribute the measure reads: ``ids`` for the five
-    token measures, ``texts`` for Levenshtein and ``tokens`` for the rest.
+    non-empty texts (:attr:`TokenTable.texts`) of one view; it is None for
+    the five token measures, which have a table kernel on ids. The ontology
+    and SWEM measures split each text back into its tokens.
     ``com`` is WBSM over each of its views, combined by :func:`score_runs`.
     ``kernel`` names what the measure computes on one view, and keys both of
     :func:`score_runs`' memos: the word-similarity kind for the WBSM-based
     measures (``wbsm-*``, ``ubsm-*`` and ``com``), which share it, and the
     measure id for every other measure. Two scorers of one kernel give a
-    pair of token sequences the same score, so Levenshtein and the ontology
-    and SWEM measures score each distinct pair once per plan and kernel.
+    pair of texts the same score, so Levenshtein and the ontology and SWEM
+    measures score each distinct pair once per plan and kernel.
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
@@ -100,24 +99,27 @@ class PairScorer:
         self.config = config
         self.views: tuple[PreprocessConfig, ...] = (config,)
         self.kernel = measure_id
-        self.reads = "tokens"
         family, how = MEASURES[measure_id]
         if family == "string":
             self.score_pairs = None if how == "ids" else _levenshtein_pairs
-            self.reads = how
         elif family == "swem":
             vectors = resources.vectors
             if vectors is None:
                 raise PlanError(f"measure {measure_id!r} requires a word-vector model")
             self.score_pairs = lambda pairs: [vecsim.rescale_signed(vecsim.swem_sim(a, b, vectors, how))
-                                              for a, b in pairs]
+                                              for a, b in _token_pairs(pairs)]
         else:
             if resources.taxonomy is None or resources.lexicon is None:
                 raise PlanError(f"measure {measure_id!r} requires a taxonomy and lexicon")
             self.kernel, ners = how
             words = resources.word_measure(self.kernel)
             self.views = tuple(replace(config, ner=ner) for ner in ners)
-            self.score_pairs = lambda pairs: [ontosim.wbsm(a, b, words) for a, b in pairs]
+            self.score_pairs = lambda pairs: [ontosim.wbsm(a, b, words) for a, b in _token_pairs(pairs)]
+
+
+def _token_pairs(pairs: list[tuple[str, str]]) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Each pair of non-empty texts as its pair of token sequences."""
+    return ((tuple(a.split(" ")), tuple(b.split(" "))) for a, b in pairs)
 
 
 def _levenshtein_pairs(pairs: list[tuple[str, str]]) -> list[float]:
@@ -227,18 +229,18 @@ def score_runs(scorers: list[PairScorer], datasets: Sequence[Dataset]
     decode a table, which the pair memo's keys need, and a memo over their
     pairs was measured slower (see the README). Levenshtein
     and the ontology and SWEM measures go through the pair memo, which maps
-    (kernel, pair of sequences) to a score: tables that differ still share
+    (kernel, pair of texts) to a score: tables that differ still share
     most sentence pairs, so each distinct pair, in order, is scored once per
     plan and kernel, and each row is gathered from the memo
-    (:func:`_memo_row`). Levenshtein keys the memo on the tables' texts
-    (:attr:`TokenTable.texts`), the other measures on their token sequences
-    (:attr:`TokenTable.tokens`). ``com`` keeps the row of each of its views
-    and, at the last one, combines them with :func:`ontosim.com`.
+    (:func:`_memo_row`). The memo is keyed on the tables' texts
+    (:attr:`TokenTable.texts`), one per sentence. ``com`` keeps the row of
+    each of its views and, at the last one, combines them with
+    :func:`ontosim.com`.
 
     A dataset's matrix holds the columns of its pairs. Tables that differ
-    over the plan can still score one dataset alike, so the rows of the
-    tables are deduplicated by their bytes, and every run whose scores are
-    equal points at one row; each ``com`` run keeps a row of its own.
+    over the plan can still score one dataset alike, so the rows are
+    deduplicated by their bytes, and every run whose scores are equal
+    points at one row.
     """
     ids: dict[RawSentence, int] = {}
     indexes = [[(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in ds.pairs]
@@ -252,11 +254,11 @@ def score_runs(scorers: list[PairScorer], datasets: Sequence[Dataset]
                 warnings.warn(f"{mid} on {dataset.name!r}: no sentence has annotations, so the "
                               "ner=annotations view is the text without concept substitution")
         columns: list[np.ndarray] = []
-        here: dict[bytes | int, int] = {}  # a table row's bytes on this dataset, or a com row -> row here
+        here: dict[bytes, int] = {}  # a row's bytes on this dataset -> row here
         mine = []
         for k, row, empty in runs:
             part = rows[row][start:stop]
-            i = here.setdefault(part.tobytes() if len(scorers[k].views) == 1 else row, len(here))
+            i = here.setdefault(part.tobytes(), len(here))
             if i == len(columns):
                 columns.append(part)
             mine.append((k, i, np.count_nonzero(empty[start:stop])))
@@ -276,7 +278,7 @@ def _score_tables(scorers: list[PairScorer], sentences: list[RawSentence], pairs
         for view in scorer.views:
             readers.setdefault(view, []).append(k)
     memo: dict[tuple[str, bytes], int] = {}  # (kernel, table key) -> row
-    pair_memo: dict[str, dict] = {}  # kernel -> (sequence, sequence) -> score
+    pair_memo: dict[str, dict[tuple[str, str], float]] = {}  # kernel -> (text, text) -> score
     empties: dict[bytes, np.ndarray] = {}  # table key -> mask of the pairs with an empty side
     rows: list[np.ndarray] = []
     view_rows: dict[int, dict[PreprocessConfig, tuple[int, np.ndarray]]] = {}  # com's views so far: row, mask
@@ -285,8 +287,7 @@ def _score_tables(scorers: list[PairScorer], sentences: list[RawSentence], pairs
         key = table.key
         if key not in empties:
             empties[key] = table.lengths[pair_index].min(axis=1) == 0
-        batch = None
-        memo_keys: dict[str, list] = {}  # "texts" or "tokens" -> the table's pairs of them
+        batch = text_pairs = None
         for k in readers[cfg]:
             scorer, empty = scorers[k], empties[key]
             row = memo.get((scorer.kernel, key))
@@ -295,10 +296,9 @@ def _score_tables(scorers: list[PairScorer], sentences: list[RawSentence], pairs
                     batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
                     rows.append(batch[scorer.measure_id])
                 else:
-                    if scorer.reads not in memo_keys:
-                        seqs = getattr(table, scorer.reads)
-                        memo_keys[scorer.reads] = [(seqs[a], seqs[b]) for a, b in pairs]
-                    rows.append(_memo_row(scorer, memo_keys[scorer.reads], pair_memo.setdefault(scorer.kernel, {})))
+                    texts = table.texts
+                    text_pairs = text_pairs or [(texts[a], texts[b]) for a, b in pairs]
+                    rows.append(_memo_row(scorer, text_pairs, pair_memo.setdefault(scorer.kernel, {})))
                 row = memo[scorer.kernel, key] = len(rows) - 1
             if len(scorer.views) > 1:
                 done = view_rows.setdefault(k, {})
@@ -311,15 +311,13 @@ def _score_tables(scorers: list[PairScorer], sentences: list[RawSentence], pairs
     return rows, runs
 
 
-def _memo_row(scorer: PairScorer, pairs: list[tuple[Sequence, Sequence]],
-              memo: dict[tuple[Sequence, Sequence], float]) -> np.ndarray:
-    """The scorer's score of each pair of sequences (texts or token
-    sequences, as ``scorer.reads``), read from ``memo``, the scores of its
-    kernel so far. The pairs that the memo lacks
-    are scored first, so a pair that an earlier table scored gets the very
-    same float: a pair with an empty side by the empty-input rule, 1.0 if
-    both sides are empty and 0.0 if one is, and the rest by one
-    ``score_pairs`` call."""
+def _memo_row(scorer: PairScorer, pairs: list[tuple[str, str]],
+              memo: dict[tuple[str, str], float]) -> np.ndarray:
+    """The scorer's score of each pair of texts, read from ``memo``, the
+    scores of its kernel so far. The pairs that the memo lacks are scored
+    first, so a pair that an earlier table scored gets the very same float:
+    a pair with an empty side by the empty-input rule, 1.0 if both sides are
+    empty and 0.0 if one is, and the rest by one ``score_pairs`` call."""
     new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
     full = [(a, b) for a, b in new if a and b]
     memo.update({(a, b): float(a == b) for a, b in new if not (a and b)})

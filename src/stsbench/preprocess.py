@@ -300,31 +300,22 @@ class TokenTable:
     def lengths(self) -> np.ndarray:
         return self._expanded[1]
 
-    def _words(self) -> list[str]:
-        """Every sentence's tokens back to back, by one gather."""
-        return np.array(self.vocab, dtype=object)[self.ids].tolist()
-
-    @functools.cached_property
-    def tokens(self) -> list[TokenSequence]:
-        """The table decoded to one token sequence per sentence, built on first use."""
-        flat = self._words()
-        ends = np.cumsum(self.lengths).tolist()
-        return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
-
     @functools.cached_property
     def texts(self) -> list[str]:
         """Each sentence's tokens joined by single spaces, built on first use
-        by one join of the whole table and a slice per sentence.
+        by one gather of the vocabulary, one join of the whole table and a
+        slice per sentence.
 
         No token is empty or holds a space, so a text stands for exactly one
-        token sequence: equal texts mean equal sequences.
+        token sequence: equal texts mean equal sequences, and a non-empty
+        text's ``split(" ")`` gives its tokens back.
         """
         ids = self.ids
         # token k, and the space after it, start at offset[k] of the joined table
         offset = np.concatenate([[0], np.cumsum(self.sizes[ids] + 1)])
         first = np.concatenate([[0], np.cumsum(self.lengths)])
         starts, ends = offset[first[:-1]], offset[first[1:]] - (self.lengths > 0)
-        flat = " ".join(self._words())
+        flat = " ".join(np.array(self.vocab, dtype=object)[ids].tolist())
         return [flat[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
@@ -398,7 +389,7 @@ class _IdMap:
 def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessConfig]
                  ) -> Iterator[tuple[PreprocessConfig, TokenTable]]:
     """Yield ``(cfg, table)`` per distinct config, in grid order,
-    ``table.tokens`` being ``[preprocess(s, cfg) for s in sentences]``.
+    ``table.texts`` being ``[" ".join(preprocess(s, cfg)) for s in sentences]``.
 
     Each sentence is split at whitespace once per NER mode, numbering its
     tokens in a vocabulary shared by every table of the call. Each later
@@ -411,7 +402,7 @@ def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessC
     vocab = _Vocabulary()
     maps: dict[tuple, _IdMap] = {}
     ner = None
-    for cfg in sorted(set(configs), key=full_grid(with_ner=True).index):
+    for cfg in sorted(set(configs), key=lambda c: [OPTIONS[f].index(getattr(c, f)) for f in OPTIONS]):
         if cfg.ner != ner:  # NER modes come one after the other in grid order
             ner, split = cfg.ner, _split(sentences, cfg.ner, vocab)
             composed = {(): (split.distinct, np.ones(len(split.distinct), np.int64))}
@@ -426,8 +417,8 @@ def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessC
         yield cfg, TokenTable(split, counts, targets, vocab.tokens, vocab.sizes)
 
 
-def full_grid(with_ner: bool = False, ner: str = "none") -> list[PreprocessConfig]:
-    """The evaluation grid, the last field of :data:`OPTIONS` varying fastest:
-    48 configs at NER mode ``ner``, or 96 over both NER modes ``with_ner``."""
-    options = OPTIONS if with_ner else {**OPTIONS, "ner": (ner,)}
+def full_grid(ner: str = "none") -> list[PreprocessConfig]:
+    """The evaluation grid, the 48 configs at NER mode ``ner``, the last
+    field of :data:`OPTIONS` varying fastest."""
+    options = {**OPTIONS, "ner": (ner,)}
     return [PreprocessConfig(**dict(zip(options, combo))) for combo in itertools.product(*options.values())]

@@ -811,10 +811,11 @@ def test_ubsm_and_com_score_their_views_bit_for_bit(tmp_path, rng):
         assert np.array(run.scores).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("annotated, calls, n_rows", [(False, 20, 2), (True, 40, 3)])
+@pytest.mark.parametrize("annotated, calls, n_rows", [(False, 20, 1), (True, 40, 3)])
 def test_wbsm_measures_score_each_table_once(tmp_path, monkeypatch, annotated, calls, n_rows):
     # wbsm-rada, ubsm-rada and com share one kernel: without annotations both
-    # views are one table, scored once, and com adds only its combined row
+    # views are one table, scored once, and com's combined row, 0.5 * w +
+    # 0.5 * w, is that row w bit for bit, so the matrix has one row
     from dataclasses import replace
     from stsbench.core import Annotation, SentencePair
     tax_path, lex_path = _onto_files(tmp_path)

@@ -123,9 +123,10 @@ def _token_pairs(pairs: list[tuple[str, str]]) -> Iterator[tuple[tuple[str, ...]
 
 
 def _levenshtein_pairs(pairs: list[tuple[str, str]]) -> list[float]:
-    """Levenshtein of each pair of texts, by one call on their distinct texts."""
-    at = {s: i for i, s in enumerate(dict.fromkeys(text for pair in pairs for text in pair))}
-    return strsim.levenshtein_pair_scores(list(at), [(at[a], at[b]) for a, b in pairs]).tolist()
+    """Levenshtein of each pair of texts, by one call on the pairs as given:
+    pair k is texts 2k and 2k + 1 of their flat list."""
+    texts = [text for pair in pairs for text in pair]
+    return strsim.levenshtein_pair_scores(texts, np.arange(len(texts)).reshape(-1, 2)).tolist()
 
 
 @dataclass

@@ -271,17 +271,14 @@ class TokenTable:
     the map, so tables with equal keys are equal. ``ids`` holds every
     sentence's token ids back to back and ``lengths`` the number of tokens of
     each sentence, both built on first use; ``vocab`` holds the token of each
-    id, and ``sizes`` the length in code points of each token up to the
-    table's highest id. All tables of one :func:`token_tables` call share
-    one vocabulary, which only grows, so an id means the same token in each
-    of them.
+    id. All tables of one :func:`token_tables` call share one vocabulary,
+    which only grows, so an id means the same token in each of them.
     """
 
     split: _Split
     counts: np.ndarray
     targets: np.ndarray
     vocab: list[str]
-    sizes: np.ndarray
 
     @functools.cached_property
     def key(self) -> bytes:
@@ -303,29 +300,22 @@ class TokenTable:
     @functools.cached_property
     def texts(self) -> list[str]:
         """Each sentence's tokens joined by single spaces, built on first use
-        by one gather of the vocabulary, one join of the whole table and a
-        slice per sentence.
+        by one gather of the vocabulary and one join per sentence.
 
         No token is empty or holds a space, so a text stands for exactly one
         token sequence: equal texts mean equal sequences, and a non-empty
         text's ``split(" ")`` gives its tokens back.
         """
-        ids = self.ids
-        # token k, and the space after it, start at offset[k] of the joined table
-        offset = np.concatenate([[0], np.cumsum(self.sizes[ids] + 1)])
-        first = np.concatenate([[0], np.cumsum(self.lengths)])
-        starts, ends = offset[first[:-1]], offset[first[1:]] - (self.lengths > 0)
-        flat = " ".join(np.array(self.vocab, dtype=object)[ids].tolist())
-        return [flat[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        words = np.array(self.vocab, dtype=object)[self.ids].tolist()
+        bounds = np.concatenate([[0], np.cumsum(self.lengths)]).tolist()
+        return [" ".join(words[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class _Vocabulary:
-    """Token strings numbered in order of first appearance, and the length
-    of each in code points."""
+    """Token strings numbered in order of first appearance."""
 
     def __init__(self):
         self.tokens: list[str] = []
-        self.sizes = np.empty(0, np.int64)
         self._index: dict[str, int] = {}
 
     def ids(self, tokens: Sequence[str]) -> np.ndarray:
@@ -334,7 +324,6 @@ class _Vocabulary:
         if new:
             self._index.update(zip(new, itertools.count(len(self.tokens))))
             self.tokens.extend(new)
-            self.sizes = np.concatenate([self.sizes, np.fromiter(map(len, new), np.int64, len(new))])
         return np.fromiter(map(self._index.__getitem__, tokens), np.int64, len(tokens))
 
 
@@ -414,7 +403,7 @@ def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessC
                     maps[name] = _IdMap(stage, vocab)
                 composed[path] = maps[name](*composed[prefix])
         targets, counts = composed[path]
-        yield cfg, TokenTable(split, counts, targets, vocab.tokens, vocab.sizes)
+        yield cfg, TokenTable(split, counts, targets, vocab.tokens)
 
 
 def full_grid(ner: str = "none") -> list[PreprocessConfig]:

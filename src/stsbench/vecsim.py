@@ -37,7 +37,8 @@ def load_vectors(path: str | Path) -> VectorModel:
     """Load a text-format word-vector file.
 
     Duplicate tokens keep their first occurrence with a warning; ragged
-    rows and non-finite components are errors.
+    rows, rows or a header with no components, and non-finite components
+    are errors.
     """
     path = Path(path)
     table: dict[str, np.ndarray] = {}
@@ -53,9 +54,13 @@ def load_vectors(path: str | Path) -> VectorModel:
             except ValueError:
                 pass
             else:
+                if header_dim < 1:
+                    raise VectorFormatError(f"{path}:{lineno}: header declares {header_dim} components")
                 dim = header_dim
                 continue
         token, values = parts[0], parts[1:]
+        if not values:
+            raise VectorFormatError(f"{path}:{lineno}: token {token!r} has no components")
         try:
             vec = np.array([float(v) for v in values], dtype=float)
         except ValueError as exc:

@@ -190,6 +190,12 @@ def test_levenshtein_run_matches_dp_bit_for_bit(tmp_path, rng):
     # punctuation-only sides empty under every char filter: one side, then both
     pairs[3] = dataclasses.replace(pairs[3], s1=RawSentence(". , ;"))
     pairs[7] = dataclasses.replace(pairs[7], s1=RawSentence("( ) !"), s2=RawSentence("? :"))
+    # repeats within one kernel call: a sentence shared by three pairs, a
+    # pair repeated and a pair with its sides swapped
+    pairs[11] = dataclasses.replace(pairs[11], s2=pairs[10].s1)
+    pairs[12] = dataclasses.replace(pairs[12], s1=pairs[10].s1)
+    pairs[14] = dataclasses.replace(pairs[13], human_score=pairs[14].human_score)
+    pairs[16] = dataclasses.replace(pairs[15], s1=pairs[15].s2, s2=pairs[15].s1)
     ds = dataclasses.replace(ds, pairs=tuple(pairs))
     path = tmp_path / "data.tsv"
     write_dataset(ds, path)

@@ -70,6 +70,10 @@ def test_format_errors(tmp_path):
         load_vectors(_write(tmp_path, "cat 1 nan\n", "nan.txt"))
     with pytest.raises(VectorFormatError, match="no vectors"):
         load_vectors(_write(tmp_path, "", "empty.txt"))
+    with pytest.raises(VectorFormatError, match=":1: token 'cat' has no components"):
+        load_vectors(_write(tmp_path, "cat\ndog\n", "tokens-only.txt"))
+    with pytest.raises(VectorFormatError, match=":1: header declares 0 components"):
+        load_vectors(_write(tmp_path, "2 0\ncat\ndog\n", "zero-dim.txt"))
 
 
 def test_round_trip(tmp_path, model):

@@ -263,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="stsbench",
                                      description="sentence-similarity benchmark driver")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # its actions are copied, not re-checked
+    _add_common_args(common)
     for name, fn in (
         ("run", _cmd_run),
         ("grid", lambda args: _cmd_run(args, grid=True)),
@@ -271,8 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         ("throughput", _cmd_throughput),
         ("validate", _cmd_validate),
     ):
-        p = sub.add_parser(name)
-        _add_common_args(p)
+        p = sub.add_parser(name, parents=[common])
         if name == "significance":
             p.add_argument("--splits", type=int, default=10)
         if name == "throughput":

@@ -67,7 +67,8 @@ class RawSentence:
     annotations: tuple[Annotation, ...] = ()
 
     def __post_init__(self):
-        _check_spans(self.text, self.annotations)
+        if self.annotations:
+            _check_spans(self.text, self.annotations)
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,9 @@ class WordSimMeasure:
 
     Words missing from the lexicon compare as 1 when their surface forms
     are equal and 0 otherwise. Multi-concept words resolve to the
-    best-scoring concept pair.
+    best-scoring concept pair. Lexicon-word pairs are memoised, so the word
+    memo is bounded by the lexicon; a K×K table over the lexicon words of a
+    dataset's vocabulary (ROADMAP item 3) may replace it.
     """
 
     def __init__(self, kind: str, taxonomy: Taxonomy, lexicon: dict[str, frozenset[str]]):
@@ -200,13 +202,17 @@ class WordSimMeasure:
         self.taxonomy = taxonomy
         self.lexicon = lexicon
         self._memo: dict[tuple[str, str], float] = {}
+        self._word_memo: dict[tuple[str, str], float] = {}
 
     def word_sim(self, w1: str, w2: str) -> float:
         cs1 = self.lexicon.get(w1)
         cs2 = self.lexicon.get(w2)
         if not cs1 or not cs2:
             return 1.0 if w1 == w2 else 0.0
-        return max(self._concept_sim(c1, c2) for c1 in cs1 for c2 in cs2)
+        sim = self._word_memo.get((w1, w2))
+        if sim is None:
+            sim = self._word_memo[w1, w2] = max(self._concept_sim(c1, c2) for c1 in cs1 for c2 in cs2)
+        return sim
 
     def _concept_sim(self, c1: str, c2: str) -> float:
         # Both kinds are symmetric, so the unordered pair is the memo key.

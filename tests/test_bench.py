@@ -546,6 +546,34 @@ def test_cli_end_to_end(tmp_path, rng, capsys):
     assert len(kde_lines) == 513
 
 
+def test_cli_parser_contract(monkeypatch):
+    seen = []
+    for name in ("_cmd_run", "_cmd_significance", "_cmd_error_analysis", "_cmd_throughput", "_cmd_validate"):
+        monkeypatch.setattr(cli, name, lambda args, **kwargs: seen.append(args) or 0)
+    common = ["--plan", "p.txt", "--dataset", "a=a.tsv", "--dataset", "b=b.tsv",
+              "--annotations", "a=a.ann", "--measure", "block", "--measure", "jaccard @ lowercase=no",
+              "--vectors", "v.txt", "--taxonomy", "t.tsv", "--lexicon", "l.tsv", "--out", "o",
+              "--ner", "annotations", "--tokenizer", "treebank-rules", "--lowercase", "no",
+              "--char-filter", "biosses", "--stopwords", "nltk2018"]
+    expected = {"plan": "p.txt", "dataset": ["a=a.tsv", "b=b.tsv"], "annotations": ["a=a.ann"],
+                "measure": ["block", "jaccard @ lowercase=no"], "vectors": "v.txt", "taxonomy": "t.tsv",
+                "lexicon": "l.tsv", "out": "o", "ner": "annotations", "tokenizer": "treebank-rules",
+                "lowercase": "no", "char_filter": "biosses", "stopwords": "nltk2018"}
+    own = {"significance": {"splits": 10}, "throughput": {"repeats": 3}}
+    for cmd in ("run", "grid", "significance", "error-analysis", "throughput", "validate"):
+        assert cli.main([cmd, *common]) == 0
+        args = vars(seen.pop())
+        del args["func"]
+        assert args == {"command": cmd, **expected, **own.get(cmd, {})}
+        for flag in ("--bogus", "--splits", "--repeats"):
+            if flag.lstrip("-") in own.get(cmd, {}):
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.main([cmd, flag, "4"])
+            assert exc.value.code == 2
+    assert not seen
+
+
 def test_python_m_stsbench_runs_from_a_checkout(tmp_path):
     path = tmp_path / "d.tsv"
     write_dataset(make_dataset(np.random.default_rng(0), 4), path)

@@ -91,8 +91,10 @@ def parse_plan_file(path: str | Path) -> dict:
             raw["annotations"][key[len("annotations."):]] = value
         elif key == "measure":
             raw["measures"].append(value)
-        else:
+        elif key in _PLAN_KEYS:
             raw["options"][key] = value
+        else:
+            raise PlanError(f"{path}:{lineno}: unknown plan key {key!r}")
     return raw
 
 
@@ -130,9 +132,6 @@ def build_plan(args: argparse.Namespace, grid: bool = False) -> BenchmarkPlan:
     raw = parse_plan_file(args.plan) if args.plan else {
         "datasets": {}, "annotations": {}, "measures": [], "options": {}}
     options = raw["options"]
-    for key in options:
-        if key not in _PLAN_KEYS:
-            raise PlanError(f"unknown plan key {key!r}")
     datasets = dict(raw["datasets"])
     datasets.update(_split_name_path(args.dataset, "dataset"))
     annotations = dict(raw["annotations"])
@@ -168,10 +167,10 @@ def _cmd_run(args, grid: bool = False) -> int:
         print(report.format_table())
         print(f"\n{len(runs)} runs written to {plan.out_dir}")
         return 0
-    for spec in plan.measures:
-        best = bench.best_config(report, spec.measure_id)
-        print(f"{spec.measure_id}: no best config (every config degenerate)" if best is None
-              else f"{spec.measure_id}: best config {best[0]} (mean h = {best[1]:.4f})")
+    for measure_id in dict.fromkeys(spec.measure_id for spec in plan.measures):
+        best = bench.best_config(report, measure_id)
+        print(f"{measure_id}: no best config (every config degenerate)" if best is None
+              else f"{measure_id}: best config {best[0]} (mean h = {best[1]:.4f})")
     return 0
 
 

@@ -9,7 +9,7 @@ vector over the joint word set of both sentences.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
@@ -117,22 +117,26 @@ class Taxonomy:
         return frozenset(self._walk_up(concept))
 
     def shortest_path_len(self, c1: str, c2: str) -> int:
-        """Shortest path length treating is-a edges as undirected."""
+        """Shortest path length treating is-a edges as undirected.
+
+        Breadth-first from both ends (Pohl 1971): each step replaces the
+        smaller frontier by its nodes' unseen neighbours, one whole level at
+        a time. The first node both seen sets share is in both frontiers, so
+        the step count when the frontiers first meet is the length.
+        """
         self._require(c1)
         self._require(c2)
-        if c1 == c2:
-            return 0
-        seen = {c1: 0}
-        queue = deque([c1])
-        while queue:
-            n = queue.popleft()
-            for m in self._parents[n] | self._children[n]:
-                if m not in seen:
-                    if m == c2:
-                        return seen[n] + 1
-                    seen[m] = seen[n] + 1
-                    queue.append(m)
-        raise TaxonomyError(f"no path between {c1!r} and {c2!r}")
+        seen1, front1, seen2, front2, steps = {c1}, {c1}, {c2}, {c2}, 0
+        while not front1 & front2:
+            if len(front1) > len(front2):
+                seen1, front1, seen2, front2 = seen2, front2, seen1, front1
+            front1 = set().union(*map(self._parents.__getitem__, front1),
+                                 *map(self._children.__getitem__, front1)) - seen1
+            if not front1:
+                raise TaxonomyError(f"no path between {c1!r} and {c2!r}")
+            seen1 |= front1
+            steps += 1
+        return steps
 
     def ic_sanchez(self, concept: str) -> float:
         """Leaf/subsumer information content; 0 at the root, growing downward."""
@@ -174,6 +178,8 @@ def load_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
         fields = line.split("\t")
         if len(fields) != 2 or not fields[1]:
             raise TaxonomyError(f"{path}:{lineno}: expected surface<TAB>concepts")
+        if fields[0] in lexicon:
+            raise TaxonomyError(f"{path}:{lineno}: surface form {fields[0]!r} given twice")
         lexicon[fields[0]] = frozenset(fields[1].split(","))
     return lexicon
 
@@ -188,7 +194,7 @@ class WordSimMeasure:
     are equal and 0 otherwise. Multi-concept words resolve to the
     best-scoring concept pair. Lexicon-word pairs are memoised, so the word
     memo is bounded by the lexicon; a K×K table over the lexicon words of a
-    dataset's vocabulary (ROADMAP item 3) may replace it.
+    dataset's vocabulary (ROADMAP item 2, step 2) may replace it.
     """
 
     def __init__(self, kind: str, taxonomy: Taxonomy, lexicon: dict[str, frozenset[str]]):

@@ -300,6 +300,19 @@ def test_grid_reports_every_measure_when_one_is_degenerate_everywhere(tmp_path, 
         f"{m}: every config was degenerate; no best config" for m in ("block", "qgram")]
 
 
+def test_grid_prints_each_measure_best_config_once(tmp_path, rng, capsys):
+    # one measure at two NER modes sweeps two grids but has one best config
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(rng, 20), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no sentence has annotations
+        rc = cli.main(["grid", "--dataset", f"d={path}", "--measure", "block",
+                       "--measure", "block @ ner=annotations", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("block:")]
+    assert len(lines) == 1 and lines[0].startswith("block: best config ")
+
+
 def test_best_config_tie_warns():
     rows = [
         bench.ReportRow("d", "block", "cfgA", 0.5, 0.5, 0.5),
@@ -587,6 +600,14 @@ def test_python_m_stsbench_runs_from_a_checkout(tmp_path):
     assert done.stdout.strip() == "plan OK: 1 dataset(s), 1 measure(s), 1 run(s)"
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    [printed] = capsys.readouterr().out.split()
+    assert 0.0 <= float(printed) <= 1.0
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = cli.main(["run", "--dataset", "d=/nonexistent.tsv", "--measure", "block"])
     assert rc == 1
@@ -737,6 +758,14 @@ def test_plan_rejects_unknown_keys(tmp_path, rng, capsys):
         assert cli.main(["validate", "--plan", str(plan_file)]) == 1
         key = line.split(" = ")[0]
         assert f"unknown plan key {key!r}" in capsys.readouterr().err
+
+
+def test_unknown_plan_key_is_an_error_at_its_line(tmp_path, capsys):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("dataset.d = d.tsv\n# a comment\nmeasure = block\ntokeniser = treebank-rules\n",
+                         encoding="utf-8")
+    assert cli.main(["validate", "--plan", str(plan_file)]) == 1
+    assert capsys.readouterr().err == f"error: {plan_file}:4: unknown plan key 'tokeniser'\n"
 
 
 def test_report_csv_quotes_dataset_names(tmp_path):

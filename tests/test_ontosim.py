@@ -142,6 +142,15 @@ def test_lexicon_load(tmp_path):
         load_lexicon(bad)
 
 
+def test_lexicon_surface_form_given_twice(tmp_path):
+    # keeping the last line would silently change WBSM and UBSM scores
+    p = tmp_path / "lex.tsv"
+    p.write_text("cat\tc\n# comment\ndog\td\ncat\td\n", encoding="utf-8")
+    with pytest.raises(TaxonomyError) as err:
+        load_lexicon(p)
+    assert str(err.value) == f"{p}:4: surface form 'cat' given twice"
+
+
 def test_lexicon_file_with_bom(tmp_path):
     p = tmp_path / "lex.tsv"
     p.write_text("cat\tc\n", encoding="utf-8-sig")
@@ -266,3 +275,32 @@ def test_random_dag_ic_monotone(rng):
         for child, parent in edges:
             assert tax.ic_sanchez(child) >= tax.ic_sanchez(parent) - 1e-12
 
+
+def _assert_paths_match_oracle(edges, pairs):
+    tax = Taxonomy(edges)
+    index, dist = _oracle_distances(edges, tax.nodes)
+    for a, b in pairs:
+        expected = int(dist[index[a], index[b]])
+        assert tax.shortest_path_len(a, b) == tax.shortest_path_len(b, a) == expected, (a, b)
+
+
+def test_shortest_path_diamond_of_unequal_arms():
+    # top and bottom are joined by an arm of 2 edges (via s) and one of 5
+    # (via l1..l4); a search that stops at the first node either end reaches
+    # through the long arm, or counts one step per two expansions, is wrong
+    edges = [("top", "root"), ("s", "top"), ("bottom", "s"), ("l1", "top"), ("l2", "l1"),
+             ("l3", "l2"), ("l4", "l3"), ("bottom", "l4")]
+    tax = Taxonomy(edges)
+    assert tax.shortest_path_len("top", "bottom") == 2
+    _assert_paths_match_oracle(edges, [(a, b) for a in tax.nodes for b in tax.nodes])
+
+
+def test_shortest_path_lopsided_frontiers():
+    # h0 sits under a hub of 1,000 children and k50 at the foot of a 50-node
+    # chain: after two steps from h0 the chain's end has the smaller frontier
+    # for the remaining 50, so the expanded side switches
+    edges = [("hub", "root"), *((f"h{i}", "hub") for i in range(1000)),
+             ("k1", "root"), *((f"k{i}", f"k{i - 1}") for i in range(2, 51))]
+    assert Taxonomy(edges).shortest_path_len("h0", "k50") == 52
+    _assert_paths_match_oracle(edges, [("h0", "k50"), ("h999", "k25"), ("hub", "k50"), ("root", "k50"),
+                                       ("h0", "h1"), ("k1", "k50"), ("h0", "hub")])

@@ -35,7 +35,11 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Annotation:
-    """A character span of a sentence labelled with an opaque concept code."""
+    """A character span of a sentence labelled with an opaque concept code.
+
+    The code holds no whitespace, which would split it into several tokens
+    once it replaces its span.
+    """
 
     start: int
     end: int
@@ -46,6 +50,8 @@ class Annotation:
             raise DatasetError(f"invalid span ({self.start}, {self.end})")
         if not self.code:
             raise DatasetError("empty concept code")
+        if self.code.split() != [self.code]:
+            raise DatasetError(f"concept code {self.code!r} holds whitespace")
 
 
 def _check_spans(text: str, annotations: tuple[Annotation, ...]) -> None:
@@ -321,8 +327,11 @@ def read_raw_scores(path: str | Path, dataset_name: str = "", measure_id: str = 
                 raise DatasetError(f"{path}: unexpected header {header}")
             for row in reader:
                 if len(row) != 2:
-                    raise DatasetError(f"{path}: malformed row {row}")
-                scores.append(float(row[1]))
+                    raise DatasetError(f"{path}:{reader.line_num}: malformed row {row}")
+                try:
+                    scores.append(float(row[1]))
+                except ValueError:
+                    raise DatasetError(f"{path}:{reader.line_num}: score {row[1]!r} is not a number") from None
     except OSError as exc:
         raise DatasetError(f"cannot read raw scores from {path}: {exc}") from exc
     return BenchmarkRun(dataset_name, measure_id, preprocess_config, tuple(scores))

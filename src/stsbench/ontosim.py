@@ -8,6 +8,7 @@ vector over the joint word set of both sentences.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -29,8 +30,9 @@ class Taxonomy:
 
     The graph is the parent and child sets built from the edges, with every
     node a key of both. Depths are set at load; leaf counts and ``ic_max``
-    come from one lazy pass up from the leaves, and ancestor sets are walked
-    on each call, so no per-concept set or mask is kept.
+    come from one pass up from the leaves, run when either is first asked
+    for and cached, and ancestor sets are walked on each call, so no
+    per-concept set or mask is kept.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
@@ -67,8 +69,6 @@ class Taxonomy:
             raise TaxonomyError("cycle detected")
         self.max_depth = max(self._depth.values())
         self.total_leaves = len(self._leaves)
-        self._leaf_counts: Counter[str] | None = None
-        self._ic_max = 0.0
 
     def _require(self, concept: str) -> None:
         if concept not in self.nodes:
@@ -84,19 +84,17 @@ class Taxonomy:
                     stack.append(p)
         return seen
 
-    def _count_leaves(self) -> Counter[str]:
+    @functools.cached_property
+    def _leaf_pass(self) -> tuple[Counter[str], float]:
         """Leaf counts as the number of leaf walks that reach each concept
-        (exact, each walk being a set); the largest walk gives ``ic_max``."""
-        if self._leaf_counts is None:
-            counts: Counter[str] = Counter()
-            subsumers = 0
-            for leaf in self._leaves:
-                up = self._walk_up(leaf)
-                counts.update(up)
-                subsumers = max(subsumers, len(up))
-            self._leaf_counts = counts
-            self._ic_max = -math.log((1 / subsumers + 1.0) / (self.total_leaves + 1.0))
-        return self._leaf_counts
+        (exact, each walk being a set), and ``ic_max`` from the largest walk."""
+        counts: Counter[str] = Counter()
+        subsumers = 0
+        for leaf in self._leaves:
+            up = self._walk_up(leaf)
+            counts.update(up)
+            subsumers = max(subsumers, len(up))
+        return counts, -math.log((1 / subsumers + 1.0) / (self.total_leaves + 1.0))
 
     def depth(self, concept: str) -> int:
         self._require(concept)
@@ -109,7 +107,7 @@ class Taxonomy:
     def leaf_count(self, concept: str) -> int:
         """Number of leaves subsumed by the concept (itself, if a leaf)."""
         self._require(concept)
-        return self._count_leaves()[concept]
+        return self._leaf_pass[0][concept]
 
     def ancestors(self, concept: str) -> frozenset[str]:
         """The concept and all its ancestors, walked up on each call."""
@@ -150,10 +148,9 @@ class Taxonomy:
         Any leaf below a concept has leaf count 1, against the concept's 1 or
         more, and more subsumers, so its IC is larger; among leaves the IC
         grows with the subsumer count. The largest leaf walk is taken in the
-        pass that counts the leaves, whichever of the two is asked first.
+        cached pass that counts the leaves.
         """
-        self._count_leaves()
-        return self._ic_max
+        return self._leaf_pass[1]
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
@@ -192,9 +189,8 @@ class WordSimMeasure:
 
     Words missing from the lexicon compare as 1 when their surface forms
     are equal and 0 otherwise. Multi-concept words resolve to the
-    best-scoring concept pair. Lexicon-word pairs are memoised, so the word
-    memo is bounded by the lexicon; a K×K table over the lexicon words of a
-    dataset's vocabulary (ROADMAP item 2, step 2) may replace it.
+    best-scoring concept pair. Only unordered concept pairs are memoised, so
+    a word and its concept code share one score.
     """
 
     def __init__(self, kind: str, taxonomy: Taxonomy, lexicon: dict[str, frozenset[str]]):
@@ -208,17 +204,13 @@ class WordSimMeasure:
         self.taxonomy = taxonomy
         self.lexicon = lexicon
         self._memo: dict[tuple[str, str], float] = {}
-        self._word_memo: dict[tuple[str, str], float] = {}
 
     def word_sim(self, w1: str, w2: str) -> float:
         cs1 = self.lexicon.get(w1)
         cs2 = self.lexicon.get(w2)
         if not cs1 or not cs2:
             return 1.0 if w1 == w2 else 0.0
-        sim = self._word_memo.get((w1, w2))
-        if sim is None:
-            sim = self._word_memo[w1, w2] = max(self._concept_sim(c1, c2) for c1 in cs1 for c2 in cs2)
-        return sim
+        return max(self._concept_sim(c1, c2) for c1 in cs1 for c2 in cs2)
 
     def _concept_sim(self, c1: str, c2: str) -> float:
         # Both kinds are symmetric, so the unordered pair is the memo key.
@@ -249,13 +241,19 @@ def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],
     i-th joint word and any word of the corresponding sentence. An
     all-zero vector yields similarity 0. The cosine is clamped to 1, which
     rounding exceeds for equal vectors.
+
+    ``word_sim(w, w)`` must be exactly 1.0 and no score may exceed 1.0, so
+    the component of a word the sentence holds is 1.0 without a call. Rada
+    meets this because a path of length 0 scores 1.0; Jiang–Conrath because
+    a concept's IC is the largest among its ancestors, so its distance to
+    itself is exactly 0.
     """
     set1, set2 = set(set1), set(set2)
     if not set1 or not set2:
         raise EmptyInputError("word sets must be non-empty")
     joint = sorted(set1 | set2)
-    v1 = [max(word_sim(t, w) for w in set1) for t in joint]
-    v2 = [max(word_sim(t, w) for w in set2) for t in joint]
+    v1 = [1.0 if t in set1 else max(word_sim(t, w) for w in set1) for t in joint]
+    v2 = [1.0 if t in set2 else max(word_sim(t, w) for w in set2) for t in joint]
     dot = sum(a * b for a, b in zip(v1, v2))
     n1 = math.sqrt(sum(a * a for a in v1))
     n2 = math.sqrt(sum(b * b for b in v2))

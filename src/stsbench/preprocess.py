@@ -3,8 +3,12 @@
 Stages run strictly in this order:
 
 1. concept substitution (optional) -- every annotated span is replaced by
-   its lower-cased concept code, which then survives the pipeline as a
-   single token
+   its lower-cased concept code. A code holds no whitespace
+   (:class:`~stsbench.core.Annotation` refuses one), so ``whitespace``
+   tokenization never splits it; a code that holds punctuation can still be
+   split by ``treebank-rules`` or changed by a char filter (``GO:0005``
+   becomes ``go``, ``:``, ``0005`` under ``treebank-rules``), and a span
+   not bounded by whitespace joins the code to its neighbours
 2. tokenization (``whitespace`` or ``treebank-rules``)
 3. lower-casing (optional)
 4. character filtering (named, editable resource files)

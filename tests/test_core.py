@@ -34,6 +34,17 @@ def test_annotation_validation():
         Annotation(0, 4, "")
 
 
+def test_annotation_code_with_whitespace_is_an_error_at_its_line(tmp_path):
+    # a substituted code must stay one token; "C 15" would tokenize as c, 15
+    for code in ("C 15", " C15", "C15\x0c", "C\u200915"):
+        with pytest.raises(DatasetError, match="holds whitespace"):
+            Annotation(0, 4, code)
+    p = tmp_path / "ann.tsv"
+    p.write_text("0\ts1\t0\t5\tC1\n1\ts2\t0\t4\tC 15\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"ann\.tsv:2: concept code 'C 15' holds whitespace"):
+        load_annotations(p)
+
+
 def test_raw_sentence_span_checks():
     RawSentence("hello world", (Annotation(0, 5, "C1"), Annotation(6, 11, "C2")))
     with pytest.raises(DatasetError):
@@ -267,4 +278,14 @@ def test_raw_scores_header_check(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("index,value\n0,0.5\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="unexpected header"):
+        read_raw_scores(p)
+
+
+def test_raw_scores_bad_row_names_its_file_and_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("pair_index,score\n0,0.5\n1,abc\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"bad\.csv:3: score 'abc' is not a number"):
+        read_raw_scores(p)
+    p.write_text("pair_index,score\n0,0.5\n1\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"bad\.csv:3: malformed row \['1'\]"):
         read_raw_scores(p)

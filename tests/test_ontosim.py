@@ -238,6 +238,19 @@ def test_semantic_vector_sim_equal_sets_is_one():
     assert semantic_vector_sim(words, set(words), exact_match_sim) == 1.0
 
 
+def test_semantic_vector_sim_asks_only_for_words_outside_the_sentence():
+    # a word the sentence holds scores 1.0 by membership, so of the joint
+    # words a, b, c only c is scored against {a, b} and only a against {b, c}
+    calls = []
+
+    def rec(t, w):
+        calls.append((t, w))
+        return exact_match_sim(t, w)
+
+    assert semantic_vector_sim({"a", "b"}, {"b", "c"}, rec) == pytest.approx(1 / 2)
+    assert sorted(calls) == [("a", "b"), ("a", "c"), ("c", "a"), ("c", "b")]
+
+
 def test_wbsm_ubsm_and_com(tax, lexicon):
     m = WordSimMeasure("rada", tax, lexicon)
     w = wbsm(("cat", "dog"), ("cat", "pet"), m)
@@ -274,6 +287,40 @@ def test_random_dag_ic_monotone(rng):
         tax = Taxonomy(edges)
         for child, parent in edges:
             assert tax.ic_sanchez(child) >= tax.ic_sanchez(parent) - 1e-12
+
+
+def _all_max_sim(set1, set2, word_sim):
+    """The semantic-vector cosine with every component a max over word_sim."""
+    joint = sorted(set1 | set2)
+    v1 = [max(word_sim(t, w) for w in set1) for t in joint]
+    v2 = [max(word_sim(t, w) for w in set2) for t in joint]
+    dot = sum(a * b for a, b in zip(v1, v2))
+    n1 = math.sqrt(sum(a * a for a in v1))
+    n2 = math.sqrt(sum(b * b for b in v2))
+    if n1 == 0.0 or n2 == 0.0:
+        return 0.0
+    return min(1.0, dot / (n1 * n2))
+
+
+def test_membership_rule_premise_holds_bit_for_bit(rng):
+    # semantic_vector_sim scores a word its sentence holds 1.0 without a call;
+    # that is exact only if word_sim(w, w) is 1.0 and IC never falls going down
+    for _ in range(30):
+        edges = random_dag(rng, int(rng.integers(2, 201)))
+        tax = Taxonomy(edges)
+        for child, parent in edges:
+            assert tax.ic_sanchez(child) >= tax.ic_sanchez(parent)
+        nodes = sorted(tax.nodes)
+        lexicon = {f"w{i}": frozenset(map(str, rng.choice(nodes, size=1 + i % 2, replace=False)))
+                   for i in range(min(8, len(nodes)))}
+        vocab = [*lexicon, "x0", "x1"]
+        for kind in ("rada", "jiang-conrath"):
+            m = WordSimMeasure(kind, tax, lexicon)
+            assert all(m.word_sim(w, w) == 1.0 for w in lexicon)
+            for _ in range(10):
+                s1 = set(rng.choice(vocab, size=rng.integers(1, 6)))
+                s2 = set(rng.choice(vocab, size=rng.integers(1, 6)))
+                assert wbsm(s1, s2, m) == _all_max_sim(s1, s2, m.word_sim)
 
 
 def _assert_paths_match_oracle(edges, pairs):

@@ -53,10 +53,6 @@ MEASURES = {
 STRING_MEASURES = tuple(m for m, (family, _) in MEASURES.items() if family == "string")
 
 
-def known_measure(measure_id: str) -> bool:
-    return measure_id in MEASURES
-
-
 @dataclass
 class Resources:
     """Shared immutable models loaded once per plan, and one memoised word
@@ -93,7 +89,7 @@ class PairScorer:
     """
 
     def __init__(self, measure_id: str, config: PreprocessConfig, resources: Resources):
-        if not known_measure(measure_id):
+        if measure_id not in MEASURES:
             raise PlanError(f"unknown measure id {measure_id!r}")
         self.measure_id = measure_id
         self.config = config
@@ -168,7 +164,7 @@ def validate_plan(plan: BenchmarkPlan) -> list[PairScorer]:
             raise PlanError(f"annotations for {name!r}: no such file {path}")
     seen: set[tuple[str, PreprocessConfig]] = set()
     for spec in plan.measures:
-        if not known_measure(spec.measure_id):
+        if spec.measure_id not in MEASURES:
             raise PlanError(f"unknown measure id {spec.measure_id!r}")
         for cfg in spec.configs:
             if (spec.measure_id, cfg) in seen:

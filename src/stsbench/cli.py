@@ -174,28 +174,23 @@ def _cmd_run(args, grid: bool = False) -> int:
     return 0
 
 
-def _refuse_several_datasets(plan: BenchmarkPlan) -> None:
-    """Refuse a plan of several datasets before any resource or dataset is
-    loaded; ``validate_plan`` refuses a plan of none."""
+def _single_dataset(args, one_measure: str = ""):
+    """The plan, its scorers and its one dataset. A plan of several datasets,
+    or of more than one measure where ``one_measure`` names the command that
+    needs exactly one, is refused before any resource or dataset is loaded;
+    ``validate_plan`` refuses a plan of none."""
+    plan = build_plan(args)
+    if one_measure and (len(plan.measures) != 1 or len(plan.measures[0].configs) != 1):
+        raise PlanError(f"{one_measure} needs exactly one measure")
     if len(plan.datasets) > 1:
         raise PlanError(f"this command needs exactly one dataset, got {len(plan.datasets)}")
-
-
-def _single_scorer(args, command: str):
-    plan = build_plan(args)
-    if len(plan.measures) != 1 or len(plan.measures[0].configs) != 1:
-        raise PlanError(f"{command} needs exactly one measure")
-    _refuse_several_datasets(plan)
-    [scorer] = bench.validate_plan(plan)
+    scorers = bench.validate_plan(plan)
     [dataset] = bench.load_plan_datasets(plan).values()
-    return plan, scorer, dataset
+    return plan, scorers, dataset
 
 
 def _cmd_significance(args) -> int:
-    plan = build_plan(args)
-    _refuse_several_datasets(plan)
-    scorers = bench.validate_plan(plan)
-    [dataset] = bench.load_plan_datasets(plan).values()
+    plan, scorers, dataset = _single_dataset(args)
     most = len(dataset) // 2
     if most < 2:
         raise PlanError(f"dataset {dataset.name!r} of {len(dataset)} pairs is too small for a significance "
@@ -228,7 +223,10 @@ def _cmd_significance(args) -> int:
 
 
 def _cmd_error_analysis(args) -> int:
-    plan, scorer, dataset = _single_scorer(args, "error-analysis")
+    plan, [scorer], dataset = _single_dataset(args, one_measure="error-analysis")
+    if len(dataset) < 2:  # a dataset holds at least 1 pair
+        raise PlanError(f"dataset {dataset.name!r} of {len(dataset)} pair is too small: "
+                        "error analysis needs at least 2 pairs")
     result = bench.score_dataset(scorer, dataset)
     analysis = stats.error_analysis(result.scores, dataset.human_scores())
     dest = Path(plan.out_dir) / "error_kde.csv"
@@ -242,7 +240,7 @@ def _cmd_error_analysis(args) -> int:
 
 
 def _cmd_throughput(args) -> int:
-    _, scorer, dataset = _single_scorer(args, "throughput")
+    _, [scorer], dataset = _single_dataset(args, one_measure="throughput")
     rate = bench.throughput(scorer, dataset, repeats=args.repeats)
     print(f"{scorer.measure_id}: {rate:.2f} pairs/sec "
           f"({len(dataset)} pairs, median of {args.repeats} repeats)")

@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -273,15 +273,11 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def raw_scores_text(scores: Sequence[float]) -> str:
-    """The raw-score CSV of a run's scores: 17 significant digits, CRLF line ends."""
-    return "pair_index,score\r\n" + "".join([f"{i},{score:.17g}\r\n" for i, score in enumerate(scores)])
-
-
 def raw_scores_texts(scores: np.ndarray) -> list[str]:
-    """:func:`raw_scores_text` of each row of a float64 matrix, rendering each
-    distinct float of the matrix once. Floats are told apart by their bits,
-    so ``0.0`` and ``-0.0``, which compare equal, keep their own text."""
+    """The raw-score CSV of each row of a float64 matrix: 17 significant
+    digits, CRLF line ends. Each distinct float of the matrix is rendered
+    once; floats are told apart by their bits, so ``0.0`` and ``-0.0``,
+    which compare equal, keep their own text."""
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     bits, cell = np.unique(scores.view(np.uint64), return_inverse=True)
     texts = np.array([f"{x:.17g}\r\n" for x in bits.view(np.float64).tolist()], dtype=object)
@@ -292,7 +288,7 @@ def raw_scores_texts(scores: np.ndarray) -> list[str]:
 
 def write_raw_scores(run: BenchmarkRun, path: str | Path, text: str, like: str | Path | None = None) -> None:
     """Write a run's raw-score CSV, ``text`` being its
-    :func:`raw_scores_texts` row (equal to ``raw_scores_text(run.scores)``).
+    :func:`raw_scores_texts` row.
 
     A file already at ``path`` is unlinked first, so that a file hard-linked
     to it keeps its bytes. ``like`` names a file already written with this

@@ -3,12 +3,12 @@
 Stages run strictly in this order:
 
 1. concept substitution (optional) -- every annotated span is replaced by
-   its lower-cased concept code. A code holds no whitespace
+   its lower-cased concept code, parted by a space from a neighbouring
+   character that is not whitespace. A code holds no whitespace
    (:class:`~stsbench.core.Annotation` refuses one), so ``whitespace``
-   tokenization never splits it; a code that holds punctuation can still be
-   split by ``treebank-rules`` or changed by a char filter (``GO:0005``
-   becomes ``go``, ``:``, ``0005`` under ``treebank-rules``), and a span
-   not bounded by whitespace joins the code to its neighbours
+   tokenization keeps it one token; a code that holds punctuation can still
+   be split by ``treebank-rules`` or changed by a char filter (``GO:0005``
+   becomes ``go``, ``:``, ``0005`` under ``treebank-rules``)
 2. tokenization (``whitespace`` or ``treebank-rules``)
 3. lower-casing (optional)
 4. character filtering (named, editable resource files)
@@ -33,13 +33,12 @@ no match spans whitespace. A stage takes a batch of tokens and returns the
 output tokens of each: lower-casing and char filtering run once per batch,
 on the tokens joined by line breaks, which no token holds.
 
-:func:`preprocess` runs the pipeline on one sentence and returns strings.
-:func:`token_tables` runs it over many sentences and configs at once and
-returns token ids: each sentence is split once per NER mode, its tokens are
-numbered in one vocabulary per call, and every later stage is a map over
-ids that runs the stage once on the tokens it has not seen. The maps
-compose on the split's distinct tokens, and a config's table is one gather
-from the split through its composed map.
+:func:`token_tables` runs the pipeline over many sentences and configs at
+once and returns token ids: each sentence is split once per NER mode, its
+tokens are numbered in one vocabulary per call, and every later stage is a
+map over ids that runs the stage once on the tokens it has not seen. The
+maps compose on the split's distinct tokens, and a config's table is one
+gather from the split through its composed map.
 """
 
 from __future__ import annotations
@@ -191,10 +190,17 @@ def tokenize(text: str, mode: str) -> TokenSequence:
 
 
 def substitute_concepts(sentence: RawSentence) -> str:
-    """Replace each annotated span with its lower-cased concept code."""
+    """Replace each annotated span with its lower-cased concept code. A space
+    parts the code from a neighbouring character that is not whitespace, so
+    that no neighbour joins the code's token."""
     text = sentence.text
     for ann in sorted(sentence.annotations, key=lambda a: a.start, reverse=True):
-        text = text[: ann.start] + ann.code.lower() + text[ann.end :]
+        before, code, after = text[: ann.start], ann.code.lower(), text[ann.end :]
+        if before and not before[-1].isspace():
+            code = " " + code
+        if after and not after[0].isspace():
+            code += " "
+        text = before + code + after
     return text
 
 
@@ -227,17 +233,6 @@ def _stages(cfg: PreprocessConfig) -> list:
          if filt else None),
         (("stopwords", cfg.stopwords), lambda ts: [() if t.lower() in stop else (t,) for t in ts]) if stop else None,
     ]
-
-
-def preprocess(sentence: RawSentence, cfg: PreprocessConfig) -> TokenSequence:
-    """Run the full pipeline on one sentence.
-
-    An all-filtered sentence yields an empty sequence, not an error.
-    """
-    tokens = list(tokenize(_text(sentence, cfg.ner), "whitespace"))
-    for _, stage in filter(None, _stages(cfg)):
-        tokens = [out for outs in stage(tokens) for out in outs]
-    return tuple(tokens)
 
 
 def _expand(index: np.ndarray, lengths: np.ndarray, starts: np.ndarray, counts: np.ndarray,
@@ -381,8 +376,8 @@ class _IdMap:
 
 def token_tables(sentences: Sequence[RawSentence], configs: Iterable[PreprocessConfig]
                  ) -> Iterator[tuple[PreprocessConfig, TokenTable]]:
-    """Yield ``(cfg, table)`` per distinct config, in grid order,
-    ``table.texts`` being ``[" ".join(preprocess(s, cfg)) for s in sentences]``.
+    """Yield ``(cfg, table)`` per distinct config, in grid order, each table
+    holding the sentences' token sequences under its config.
 
     Each sentence is split at whitespace once per NER mode, numbering its
     tokens in a vocabulary shared by every table of the call. Each later

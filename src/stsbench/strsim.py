@@ -14,11 +14,9 @@ short trigrams. Each key family, token ids and then trigrams, is matched
 for all pairs by one ``np.sort`` of ``(pair, key, side)`` packed into an
 int64 and run-length arithmetic over the sorted keys; where trigram keys
 would not pack into int64, they are numbered first. The empty-input rule
-is a mask. :func:`pair_scores` scores one pair of token
-sequences the same way. :func:`levenshtein_pair_scores` scores Levenshtein
-for every pair of a table of texts at once, each text being a sequence's
-tokens joined by spaces, and :func:`levenshtein_sim` one pair of token
-sequences.
+is a mask. :func:`levenshtein_pair_scores` scores Levenshtein for every
+pair of a table of texts at once, each text being a sequence's tokens
+joined by spaces.
 """
 
 from __future__ import annotations
@@ -150,15 +148,6 @@ def token_pair_scores(ids: np.ndarray, lengths: np.ndarray, vocab_size: int, pai
     return {m: np.where(empty, both, s) for m, s in scores.items()}
 
 
-def pair_scores(s1: Sequence[str], s2: Sequence[str]) -> dict[str, float]:
-    """The five token measures of one pair of token sequences, as
-    :func:`token_pair_scores` scores them."""
-    index: dict[str, int] = {}
-    ids = np.array([index.setdefault(t, len(index)) for t in (*s1, *s2)], np.int64)
-    scores = token_pair_scores(ids, np.array([len(s1), len(s2)], np.int64), len(index), [(0, 1)])
-    return {m: float(s[0]) for m, s in scores.items()}
-
-
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
@@ -275,14 +264,3 @@ def _popcounts(segments: list[bytes], bounds: np.ndarray) -> np.ndarray:
     ones = _BYTE_POPCOUNT[np.frombuffer(b"".join(reversed(segments)), np.uint8)]
     return np.add.reduceat(ones, 8 * bounds[:-1], dtype=np.int64)
 
-
-def levenshtein_distance(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert, delete, substitute) of two strings,
-    as :func:`levenshtein_pair_scores` computes it."""
-    return int(_edit_distances([a, b], np.array([len(a), len(b)]), np.array([0]), np.array([1]))[0])
-
-
-def levenshtein_sim(s1: Sequence[str], s2: Sequence[str]) -> float:
-    """Character-level edit similarity of the space-joined token sequences,
-    as :func:`levenshtein_pair_scores` scores it."""
-    return float(levenshtein_pair_scores([" ".join(s1), " ".join(s2)], [(0, 1)])[0])

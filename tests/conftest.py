@@ -5,6 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from stsbench import preprocess as _pipeline
+from stsbench import strsim
 from stsbench.core import Dataset, RawSentence, SentencePair
 from stsbench.stats import _as_pair, average_ranks
 
@@ -40,6 +42,43 @@ def levenshtein_dp(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+# One pair, one sentence or one run at a time, as the program's table kernels
+# compute it: the references of the tests. The kernels are looked up in their
+# modules at each call, so that a wrapper set there sees the calls.
+
+def pair_scores(s1, s2) -> dict[str, float]:
+    """The five token measures of one pair of token sequences, as
+    ``strsim.token_pair_scores`` scores them."""
+    scores = strsim.token_pair_scores(*id_table([s1, s2], list(dict.fromkeys((*s1, *s2)))), [(0, 1)])
+    return {m: float(s[0]) for m, s in scores.items()}
+
+
+def levenshtein_distance(a: str, b: str) -> int:
+    """Unit-cost edit distance of two strings, as the bit-vector kernel computes it."""
+    return int(strsim._edit_distances([a, b], np.array([len(a), len(b)]), np.array([0]), np.array([1]))[0])
+
+
+def levenshtein_sim(s1, s2) -> float:
+    """Levenshtein similarity of the space-joined token sequences, as
+    ``strsim.levenshtein_pair_scores`` scores it."""
+    return float(strsim.levenshtein_pair_scores([" ".join(s1), " ".join(s2)], [(0, 1)])[0])
+
+
+def preprocess(sentence: RawSentence, cfg) -> tuple[str, ...]:
+    """The full pipeline run on one sentence: its whitespace split, then each
+    stage of ``cfg`` on the tokens in order. An all-filtered sentence yields
+    an empty sequence."""
+    tokens = list(_pipeline.tokenize(_pipeline._text(sentence, cfg.ner), "whitespace"))
+    for _, stage in filter(None, _pipeline._stages(cfg)):
+        tokens = [out for outs in stage(tokens) for out in outs]
+    return tuple(tokens)
+
+
+def raw_scores_text(scores) -> str:
+    """The raw-score CSV of a run's scores: 17 significant digits, CRLF line ends."""
+    return "pair_index,score\r\n" + "".join([f"{i},{score:.17g}\r\n" for i, score in enumerate(scores)])
 
 
 # The per-pair token kernels: the oracles of strsim.token_pair_scores, which

@@ -22,6 +22,7 @@ from conftest import (
     li_adapted_sim,
     liblock_sim,
     make_dataset,
+    pair_scores,
     pairs_table,
     random_dag,
     random_tokens,
@@ -41,7 +42,7 @@ from stsbench.stats import (
     spearman,
     uniform_split,
 )
-from stsbench.strsim import levenshtein_pair_scores, pair_scores, token_pair_scores
+from stsbench.strsim import levenshtein_pair_scores, token_pair_scores
 from test_stats import naive_pearson
 from test_strsim import EXAMPLE_S1, EXAMPLE_S2
 

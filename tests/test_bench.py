@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import levenshtein_dp, make_dataset, random_dag
+from conftest import levenshtein_dp, make_dataset, pair_scores, preprocess, random_dag, raw_scores_text
 from stsbench import bench, cli, ontosim
 from stsbench.bench import (
     BenchmarkPlan,
@@ -19,25 +19,23 @@ from stsbench.bench import (
     PlanError,
     Resources,
     best_config,
-    known_measure,
     score_dataset,
     throughput,
     validate_plan,
 )
 from stsbench.core import Dataset, read_raw_scores, write_dataset
 from stsbench.ontosim import Taxonomy
-from stsbench.preprocess import PreprocessConfig, full_grid, preprocess
+from stsbench.preprocess import PreprocessConfig, full_grid
 from stsbench.stats import harmonic, uniform_split
-from stsbench.strsim import pair_scores
 
 
 def test_known_measure():
     for mid in ("qgram", "jaccard", "block", "liblock", "levenshtein", "overlap",
                 "wbsm-rada", "wbsm-jc", "ubsm-rada", "ubsm-jc", "com",
                 "swem:mean", "swem:max", "swem:min", "swem:sum"):
-        assert known_measure(mid)
-    assert not known_measure("cosine")
-    assert not known_measure("swem:median")
+        assert mid in bench.MEASURES
+    assert "cosine" not in bench.MEASURES
+    assert "swem:median" not in bench.MEASURES
 
 
 def test_scorer_matches_direct_composition(rng):
@@ -451,6 +449,31 @@ def test_single_dataset_commands_reject_two_datasets_before_any_resource_load(tm
         assert rc == 1
         assert capsys.readouterr().err == "error: this command needs exactly one dataset, got 2\n"
     assert loads == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_error_analysis_refuses_a_dataset_of_one_pair_before_scoring(tmp_path, rng, capsys, monkeypatch):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(rng, 1), path)
+    monkeypatch.setattr(bench, "score_runs", lambda *a: pytest.fail("scored"))
+    out = tmp_path / "out"
+    assert cli.main(["error-analysis", "--dataset", f"d={path}", "--measure", "block", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: dataset 'd' of 1 pair is too small: "
+                                       "error analysis needs at least 2 pairs\n")
+    assert not out.exists()
+
+
+def test_single_measure_commands_reject_two_measures_before_any_load(tmp_path, rng, capsys, monkeypatch):
+    tax_path, lex_path = _onto_files(tmp_path)
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(rng, 5), path)
+    monkeypatch.setattr(bench, "load_dataset", lambda *a, **kw: pytest.fail("dataset loaded"))
+    monkeypatch.setattr(ontosim, "load_taxonomy", lambda *a: pytest.fail("taxonomy loaded"))
+    for command in ("error-analysis", "throughput"):
+        rc = cli.main([command, "--dataset", f"d={path}", "--measure", "block", "--measure", "wbsm-rada",
+                       "--taxonomy", str(tax_path), "--lexicon", str(lex_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {command} needs exactly one measure\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1025,7 +1048,6 @@ def test_grid_scores_each_distinct_token_table_once(tmp_path, monkeypatch):
 def _grid_files(plan: BenchmarkPlan) -> dict[tuple[str, str, str], tuple[Path, str, int]]:
     """Run a plan: for each (dataset, measure, config label), the run's
     raw-score file, its text and the row of its dataset's score matrix."""
-    from stsbench.core import raw_scores_text
     runs, _ = bench.run(plan)
     scorers = validate_plan(plan)
     rows = {}

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import raw_scores_text
 from stsbench.core import (
     Annotation,
     BenchmarkRun,
@@ -15,7 +16,6 @@ from stsbench.core import (
     attach_annotations,
     load_annotations,
     load_dataset,
-    raw_scores_text,
     raw_scores_texts,
     read_lines,
     read_raw_scores,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, treebank_tokens
+from conftest import make_dataset, preprocess, treebank_tokens
 from stsbench.core import Annotation, RawSentence
 from stsbench.preprocess import (
     OPTIONS,
@@ -15,7 +15,6 @@ from stsbench.preprocess import (
     full_grid,
     load_char_filter,
     load_stopwords,
-    preprocess,
     substitute_concepts,
     token_tables,
     tokenize,
@@ -81,6 +80,15 @@ def test_substitute_concepts():
     assert out.startswith("c0280089 formation")
     assert "c1537502" in out and "c0812241" in out
     assert "KRAS" not in out and "Braf" not in out
+
+
+@pytest.mark.parametrize("tokenizer", OPTIONS["tokenizer"])
+def test_a_substituted_code_stays_one_token(tokenizer):
+    # a space parts the code from a neighbour that is not whitespace
+    sentences = [RawSentence("anti-Tumour drugs", (Annotation(5, 11, "C0012"),)),
+                 RawSentence("Tumour2 drugs", (Annotation(0, 6, "C0012"),))]
+    [(_, table)] = token_tables(sentences, [PreprocessConfig(ner="annotations", tokenizer=tokenizer)])
+    assert [tuple(text.split(" ")) for text in table.texts] == [("anti-", "c0012", "drugs"), ("c0012", "2", "drugs")]
 
 
 def test_full_pipeline_worked_example():

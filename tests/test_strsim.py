@@ -12,10 +12,13 @@ from conftest import (
     exact_match_sim,
     id_table,
     jaccard_sim,
+    levenshtein_distance,
     levenshtein_dp,
+    levenshtein_sim,
     li_adapted_sim,
     liblock_sim,
     overlap_sim,
+    pair_scores,
     pairs_table,
     qgram_sim,
     random_tokens,
@@ -23,13 +26,7 @@ from conftest import (
 )
 from stsbench import strsim
 from stsbench.ontosim import EmptyInputError, semantic_vector_sim
-from stsbench.strsim import (
-    levenshtein_distance,
-    levenshtein_pair_scores,
-    levenshtein_sim,
-    pair_scores,
-    token_pair_scores,
-)
+from stsbench.strsim import levenshtein_pair_scores, token_pair_scores
 
 EXAMPLE_S1 = ("c0280089", "formation", "mice", "oncogenic", "c1537502",
           "requires", "formation", "craf", "c0812241")

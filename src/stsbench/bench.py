@@ -424,6 +424,13 @@ def report_rows(matrix: np.ndarray, runs: list[tuple[int, BenchmarkRun, int, int
     return out
 
 
+def sized(dataset: Dataset) -> str:
+    """``dataset 'NAME' of N pairs``, or ``of 1 pair``: a dataset as the
+    refusals of its size name it."""
+    n = len(dataset)
+    return f"dataset {dataset.name!r} of {n} pair{'' if n == 1 else 's'}"
+
+
 def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     """Execute a validated plan: score, persist raw CSVs, build the report.
 
@@ -440,10 +447,9 @@ def run(plan: BenchmarkPlan) -> tuple[list[BenchmarkRun], EvalReport]:
     """
     scorers = validate_plan(plan)
     datasets = load_plan_datasets(plan)
-    for name, dataset in datasets.items():
+    for dataset in datasets.values():
         if len(dataset) < 2:
-            raise PlanError(f"dataset {name!r} of {len(dataset)} pair is too small: "
-                            "Pearson and Spearman need at least 2 pairs")
+            raise PlanError(f"{sized(dataset)} is too small: Pearson and Spearman need at least 2 pairs")
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     done: dict[tuple[int, str], tuple[BenchmarkRun, ReportRow]] = {}

@@ -193,16 +193,14 @@ def _cmd_significance(args) -> int:
     plan, scorers, dataset = _single_dataset(args)
     most = len(dataset) // 2
     if most < 2:
-        raise PlanError(f"dataset {dataset.name!r} of {len(dataset)} pairs is too small for a significance "
-                        "test: a paired t-test needs at least 2 splits of at least 2 pairs each")
+        raise PlanError(f"{bench.sized(dataset)} is too small for a significance test: "
+                        "a paired t-test needs at least 2 splits of at least 2 pairs each")
     if args.splits < 2:
         raise PlanError(f"--splits {args.splits} is too few: a paired t-test needs at least 2 split "
-                        f"scores, so it must be at least 2, and at most {most} for dataset "
-                        f"{dataset.name!r} of {len(dataset)} pairs")
+                        f"scores, so it must be at least 2, and at most {most} for {bench.sized(dataset)}")
     if args.splits > most:
-        raise PlanError(f"--splits {args.splits} is too many for dataset {dataset.name!r} "
-                        f"of {len(dataset)} pairs: each split needs at least 2 pairs, "
-                        f"so at most {most} splits")
+        raise PlanError(f"--splits {args.splits} is too many for {bench.sized(dataset)}: "
+                        f"each split needs at least 2 pairs, so at most {most} splits")
     parts = stats.uniform_split(len(dataset), args.splits)
     [(matrix, runs)] = bench.score_runs(scorers, [dataset])
     rows = bench.report_rows(matrix, runs, dataset.human_scores(), parts)
@@ -224,9 +222,8 @@ def _cmd_significance(args) -> int:
 
 def _cmd_error_analysis(args) -> int:
     plan, [scorer], dataset = _single_dataset(args, one_measure="error-analysis")
-    if len(dataset) < 2:  # a dataset holds at least 1 pair
-        raise PlanError(f"dataset {dataset.name!r} of {len(dataset)} pair is too small: "
-                        "error analysis needs at least 2 pairs")
+    if len(dataset) < 2:
+        raise PlanError(f"{bench.sized(dataset)} is too small: error analysis needs at least 2 pairs")
     result = bench.score_dataset(scorer, dataset)
     analysis = stats.error_analysis(result.scores, dataset.human_scores())
     dest = Path(plan.out_dir) / "error_kde.csv"

@@ -193,14 +193,6 @@ def load_dataset(path: str | Path, name: str | None = None) -> Dataset:
     return Dataset(name or path.stem, pairs)
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset back to canonical TSV (sentence1, sentence2, score)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for p in dataset.pairs:
-            fh.write(f"{p.s1.text}\t{p.s2.text}\t{_render_score(p.human_score)}\n")
-
-
 SentenceId = tuple[int, str]  # (row index, "s1" | "s2")
 
 _SIDES = ("s1", "s2")
@@ -260,10 +252,6 @@ def attach_annotations(dataset: Dataset, annotations: dict[SentenceId, list[Anno
             s2 = RawSentence(s2.text, tuple(annotations[(i, "s2")]))
         pairs.append(replace(pair, s1=s1, s2=s2))
     return Dataset(dataset.name, tuple(pairs))
-
-
-def _render_score(x: float) -> str:
-    return format(x, ".17g")
 
 
 def write_table(path: str | Path, header: list[str], rows) -> None:

@@ -26,32 +26,6 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-def _finite_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xa, ya = _as_pair(x, y)
-    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-        raise DegenerateDataError(_NON_FINITE)
-    return xa, ya
-
-
-def pearson(x, y) -> float:
-    """Product-moment correlation of two equal-length samples; a non-finite
-    value or zero variance raises :class:`DegenerateDataError`.
-
-    A constant sample has zero variance even where its float mean is not
-    exactly its value (``[0.1] * 3``) and the deviations are a rounding
-    residue, so it is caught by ``max == min``.
-    """
-    xa, ya = _finite_pair(x, y)
-    if xa.max() == xa.min() or ya.max() == ya.min():
-        raise DegenerateDataError(_ZERO_VARIANCE)
-    xd = xa - xa.mean()
-    yd = ya - ya.mean()
-    denom = np.sqrt(np.sum(xd * xd)) * np.sqrt(np.sum(yd * yd))
-    if denom == 0.0:  # deviations that underflow
-        raise DegenerateDataError(_ZERO_VARIANCE)
-    return float(np.sum(xd * yd) / denom)
-
-
 def average_ranks(x) -> np.ndarray:
     """1-based ranks along the last axis, ties given their average rank, and
     all nan in a row that holds a nan: ``scipy.stats.rankdata``, bit for bit."""
@@ -68,16 +42,6 @@ def average_ranks(x) -> np.ndarray:
     return np.where(np.isnan(s[..., -1:]), np.nan, ranks)
 
 
-def spearman(x, y) -> float:
-    """Rank correlation: Pearson over average-ranked values.
-
-    Coincides with the 1 - 6*sum(d^2)/(n(n^2-1)) closed form when there
-    are no ties.
-    """
-    xa, ya = _finite_pair(x, y)
-    return pearson(average_ranks(xa), average_ranks(ya))
-
-
 def _harmonic_error(r: float, rho: float) -> str | None:
     """Why the harmonic score of r and rho is undefined, or None."""
     if not (math.isfinite(r) and math.isfinite(rho)):
@@ -89,26 +53,14 @@ def _harmonic_error(r: float, rho: float) -> str | None:
     return None
 
 
-def harmonic(r: float, rho: float) -> float:
-    """Harmonic combination 2*r*rho / (r + rho) of the two correlations.
-
-    Undefined, and raised as degenerate, when r or rho is not finite, when
-    they have opposite signs (the formula would leave [-1, 1]) or when they
-    sum to zero.
-    """
-    error = _harmonic_error(r, rho)
-    if error is not None:
-        raise DegenerateDataError(error)
-    return 2.0 * r * rho / (r + rho)
-
-
 @dataclass(frozen=True)
 class RowCorrelations:
     """Pearson, Spearman and harmonic score of each row of a score matrix.
 
-    ``errors[i]`` is the message of the :class:`DegenerateDataError` that
-    :func:`pearson`, :func:`spearman` or :func:`harmonic` raises on row i,
-    whose three values are then nan, or None.
+    ``errors[i]`` is why row i's statistics are undefined, its three values
+    then being nan, or None: the message of the :class:`DegenerateDataError`
+    that the one-row oracles ``pearson``, ``spearman`` and ``harmonic`` of
+    ``tests/conftest.py`` raise on that row.
     """
 
     r: np.ndarray
@@ -118,10 +70,13 @@ class RowCorrelations:
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pearson` of each finite C-contiguous row of ``x`` against ``y``,
-    and the mask of rows with zero variance. The row-wise means and sums run
-    over contiguous memory, in the order that the 1-d ones do, so each
-    value is bit-identical to the row's own :func:`pearson`."""
+    """Pearson's r of each finite C-contiguous row of ``x`` against ``y``,
+    and the mask of rows with zero variance. A constant row has zero variance
+    even where its float mean is not exactly its value (``[0.1] * 3``) and
+    the deviations are a rounding residue, so it is caught by ``max == min``.
+    The row-wise means and sums run over contiguous memory, in the order that
+    the 1-d ones do, so each value is bit-identical to the one-row oracle
+    ``pearson`` of ``tests/conftest.py`` on the row alone."""
     xd = x - x.mean(axis=1)[:, None]
     yd = y - y.mean()
     denom = np.sqrt(np.sum(xd * xd, axis=1)) * np.sqrt(np.sum(yd * yd))
@@ -131,11 +86,12 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def row_correlations(scores: np.ndarray, human) -> RowCorrelations:
-    """:func:`pearson`, :func:`spearman` and :func:`harmonic` of every row of
-    ``scores`` (one row per run, one column per pair) against ``human``, in
-    one pass: row-wise statistics, :func:`average_ranks` over the whole matrix
-    and the human ranks once. Each value and error equals what those functions
-    give on the row alone: a row that is not finite or has zero variance gets
+    """Pearson, Spearman and harmonic score of every row of ``scores`` (one
+    row per run, one column per pair) against ``human``, in one pass:
+    row-wise statistics, :func:`average_ranks` over the whole matrix and the
+    human ranks once. Each value and error equals what the one-row oracles
+    ``pearson``, ``spearman`` and ``harmonic`` of ``tests/conftest.py`` give
+    on the row alone: a row that is not finite or has zero variance gets
     that error, and every other row the verdict of :func:`_harmonic_error`."""
     x = np.ascontiguousarray(scores, dtype=float)
     y = np.asarray(human, dtype=float)

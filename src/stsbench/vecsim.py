@@ -83,16 +83,6 @@ def load_vectors(path: str | Path) -> VectorModel:
     return VectorModel(dim, table)
 
 
-def write_vectors(model: VectorModel, path: str | Path) -> None:
-    """Write a model in the text format, header first; round-trips through load_vectors."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(model.table)} {model.dim}\n")
-        for token, vec in model.table.items():
-            rendered = " ".join(format(v, ".17g") for v in vec)
-            fh.write(f"{token} {rendered}\n")
-
-
 def pool(tokens: Sequence[str], model: VectorModel, mode: str) -> np.ndarray | None:
     """Component-wise pooling over in-vocabulary token vectors."""
     if mode not in POOLING_MODES:

@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from stsbench import preprocess as _pipeline
 from stsbench import strsim
 from stsbench.core import Dataset, RawSentence, SentencePair
-from stsbench.stats import _as_pair, average_ranks
+from stsbench.stats import (_NON_FINITE, _ZERO_VARIANCE, DegenerateDataError, _as_pair, _harmonic_error,
+                            average_ranks)
+from stsbench.vecsim import VectorModel
 
 # Trapezoid-rule integral over the declared numpy range: numpy 2.0 added
 # np.trapezoid and numpy 2.4 removed np.trapz, so np.trapz is looked up only
@@ -79,6 +82,79 @@ def preprocess(sentence: RawSentence, cfg) -> tuple[str, ...]:
 def raw_scores_text(scores) -> str:
     """The raw-score CSV of a run's scores: 17 significant digits, CRLF line ends."""
     return "pair_index,score\r\n" + "".join([f"{i},{score:.17g}\r\n" for i, score in enumerate(scores)])
+
+
+# One row at a time: the oracles of stats.row_correlations, which gives every
+# row of a score matrix these values and errors bit for bit.
+
+def _finite_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    xa, ya = _as_pair(x, y)
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise DegenerateDataError(_NON_FINITE)
+    return xa, ya
+
+
+def pearson(x, y) -> float:
+    """Product-moment correlation of two equal-length samples; a non-finite
+    value or zero variance raises :class:`DegenerateDataError`.
+
+    A constant sample has zero variance even where its float mean is not
+    exactly its value (``[0.1] * 3``) and the deviations are a rounding
+    residue, so it is caught by ``max == min``.
+    """
+    xa, ya = _finite_pair(x, y)
+    if xa.max() == xa.min() or ya.max() == ya.min():
+        raise DegenerateDataError(_ZERO_VARIANCE)
+    xd = xa - xa.mean()
+    yd = ya - ya.mean()
+    denom = np.sqrt(np.sum(xd * xd)) * np.sqrt(np.sum(yd * yd))
+    if denom == 0.0:  # deviations that underflow
+        raise DegenerateDataError(_ZERO_VARIANCE)
+    return float(np.sum(xd * yd) / denom)
+
+
+def spearman(x, y) -> float:
+    """Rank correlation: Pearson over average-ranked values.
+
+    Coincides with the 1 - 6*sum(d^2)/(n(n^2-1)) closed form when there
+    are no ties.
+    """
+    xa, ya = _finite_pair(x, y)
+    return pearson(average_ranks(xa), average_ranks(ya))
+
+
+def harmonic(r: float, rho: float) -> float:
+    """Harmonic combination 2*r*rho / (r + rho) of the two correlations.
+
+    Undefined, and raised as degenerate, when r or rho is not finite, when
+    they have opposite signs (the formula would leave [-1, 1]) or when they
+    sum to zero.
+    """
+    error = _harmonic_error(r, rho)
+    if error is not None:
+        raise DegenerateDataError(error)
+    return 2.0 * r * rho / (r + rho)
+
+
+# The writers of the tests' input files, in the formats that the program reads.
+
+def write_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset as canonical TSV (sentence1, sentence2, score)."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for p in dataset.pairs:
+            fh.write(f"{p.s1.text}\t{p.s2.text}\t{p.human_score:.17g}\n")
+
+
+def write_vectors(model: VectorModel, path: str | Path) -> None:
+    """Write a model in the text format, header first; round-trips through
+    ``vecsim.load_vectors``."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(model.table)} {model.dim}\n")
+        for token, vec in model.table.items():
+            rendered = " ".join(format(v, ".17g") for v in vec)
+            fh.write(f"{token} {rendered}\n")
 
 
 # The per-pair token kernels: the oracles of strsim.token_pair_scores, which

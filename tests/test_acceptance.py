@@ -19,29 +19,26 @@ from conftest import (
     VOCAB,
     block_distance_sim,
     exact_match_sim,
+    harmonic,
     li_adapted_sim,
     liblock_sim,
     make_dataset,
     pair_scores,
     pairs_table,
+    pearson,
     random_dag,
     random_tokens,
+    spearman,
     spearman_closed_form,
     trapezoid,
+    write_dataset,
 )
 from stsbench import bench
 from stsbench.bench import BenchmarkPlan, MeasureSpec, PairScorer, Resources
-from stsbench.core import RawSentence, SentencePair, load_dataset, write_dataset
+from stsbench.core import RawSentence, SentencePair, load_dataset
 from stsbench.ontosim import Taxonomy, WordSimMeasure, com, semantic_vector_sim, wbsm
 from stsbench.preprocess import PreprocessConfig
-from stsbench.stats import (
-    error_analysis,
-    harmonic,
-    paired_ttest_one_sided,
-    pearson,
-    spearman,
-    uniform_split,
-)
+from stsbench.stats import error_analysis, paired_ttest_one_sided, uniform_split
 from stsbench.strsim import levenshtein_pair_scores, token_pair_scores
 from test_stats import naive_pearson
 from test_strsim import EXAMPLE_S1, EXAMPLE_S2

@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import levenshtein_dp, make_dataset, pair_scores, preprocess, random_dag, raw_scores_text
+from conftest import (harmonic, levenshtein_dp, make_dataset, pair_scores, preprocess, random_dag,
+                      raw_scores_text, write_dataset)
 from stsbench import bench, cli, ontosim
 from stsbench.bench import (
     BenchmarkPlan,
@@ -23,10 +25,10 @@ from stsbench.bench import (
     throughput,
     validate_plan,
 )
-from stsbench.core import Dataset, read_raw_scores, write_dataset
+from stsbench.core import Dataset, read_raw_scores
 from stsbench.ontosim import Taxonomy
 from stsbench.preprocess import PreprocessConfig, full_grid
-from stsbench.stats import harmonic, uniform_split
+from stsbench.stats import uniform_split
 
 
 def test_known_measure():
@@ -631,6 +633,26 @@ def test_readme_library_example_runs(capsys):
     assert 0.0 <= float(printed) <= 1.0
 
 
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^## Command line\n\n```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    [plan] = re.findall(r"^```\n(# plan.txt\n.*?)^```", readme, flags=re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    write_dataset(make_dataset(np.random.default_rng(5), 20), "biosses.tsv")
+    Path("plan.txt").write_text(plan, encoding="utf-8")
+    raw = cli.parse_plan_file("plan.txt")
+    dataset = Path(raw["datasets"]["biosses"])
+    dataset.parent.mkdir(parents=True, exist_ok=True)
+    write_dataset(make_dataset(np.random.default_rng(6), 20), dataset)
+    first_word = dataset.read_text(encoding="utf-8").split(" ", 1)[0]
+    Path(raw["annotations"]["biosses"]).write_text(f"0\ts1\t0\t{len(first_word)}\tC0001\n", encoding="utf-8")
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands
+    for command in commands:
+        assert command[0] == "stsbench"
+        assert cli.main(command[1:]) == 0, command
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = cli.main(["run", "--dataset", "d=/nonexistent.tsv", "--measure", "block"])
     assert rc == 1
@@ -738,6 +760,16 @@ def test_significance_rejects_a_dataset_too_small_to_split(tmp_path, capsys, mon
     assert cli.main(["significance", "--dataset", f"d={path}", "--measure", "jaccard",
                      "--splits", "1", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == ("error: dataset 'd' of 3 pairs is too small for a significance test: "
+                                       "a paired t-test needs at least 2 splits of at least 2 pairs each\n")
+
+
+def test_significance_names_a_dataset_of_one_pair_in_the_singular(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "one.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 1), path)
+    monkeypatch.setattr(bench, "score_runs", lambda *a: pytest.fail("scored before the size check"))
+    assert cli.main(["significance", "--dataset", f"d={path}", "--measure", "block",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: dataset 'd' of 1 pair is too small for a significance test: "
                                        "a paired t-test needs at least 2 splits of at least 2 pairs each\n")
 
 

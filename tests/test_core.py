@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import raw_scores_text
+from conftest import raw_scores_text, write_dataset
 from stsbench.core import (
     Annotation,
     BenchmarkRun,
@@ -19,7 +19,6 @@ from stsbench.core import (
     raw_scores_texts,
     read_lines,
     read_raw_scores,
-    write_dataset,
     write_raw_scores,
 )
 

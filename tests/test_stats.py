@@ -6,19 +6,16 @@ import pytest
 from scipy import integrate
 from scipy import stats as scipy_stats
 
-from conftest import make_dataset, spearman_closed_form, trapezoid
+from conftest import harmonic, make_dataset, pearson, spearman, spearman_closed_form, trapezoid
 from stsbench.core import BenchmarkRun, Dataset, RawSentence, SentencePair
 from stsbench.stats import (
     DegenerateDataError,
     average_ranks,
     error_analysis,
     gaussian_kde,
-    harmonic,
     paired_ttest_one_sided,
-    pearson,
     row_correlations,
     significance_matrix,
-    spearman,
     uniform_split,
 )
 

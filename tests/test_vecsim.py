@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import write_vectors
 from stsbench.vecsim import (
     VectorFormatError,
     VectorModel,
@@ -10,7 +11,6 @@ from stsbench.vecsim import (
     pool,
     rescale_signed,
     swem_sim,
-    write_vectors,
 )
 
 

@@ -230,8 +230,9 @@ def score_runs(scorers: list[PairScorer], datasets: Sequence[Dataset]
     most sentence pairs, so each distinct pair, in order, is scored once per
     plan and kernel, and each row is gathered from the memo
     (:func:`_memo_row`). The memo is keyed on the tables' texts
-    (:attr:`TokenTable.texts`), one per sentence. ``com`` keeps the row of
-    each of its views and, at the last one, combines them with
+    (:attr:`TokenTable.texts`), one per sentence. A scorer's run is made in
+    the step that scores the last of its views, so ``com`` reads the rows of
+    both its views from the table memo then and combines them with
     :func:`ontosim.com`.
 
     A dataset's matrix holds the columns of its pairs. Tables that differ
@@ -243,7 +244,37 @@ def score_runs(scorers: list[PairScorer], datasets: Sequence[Dataset]
     indexes = [[(ids.setdefault(p.s1, len(ids)), ids.setdefault(p.s2, len(ids))) for p in ds.pairs]
                for ds in datasets]
     bounds = np.cumsum([0, *map(len, indexes)]).tolist()
-    rows, runs = _score_tables(scorers, list(ids), [pair for index in indexes for pair in index])
+    pairs = [pair for index in indexes for pair in index]
+    pair_index = np.array(pairs)
+    readers: dict[PreprocessConfig, list[int]] = {}
+    for k, scorer in enumerate(scorers):
+        for view in scorer.views:
+            readers.setdefault(view, []).append(k)
+    keys: dict[PreprocessConfig, bytes] = {}  # each config scored so far -> its table key
+    memo: dict[tuple[str, bytes], np.ndarray] = {}  # (kernel, table key) -> row
+    pair_memo: dict[str, dict[tuple[str, str], float]] = {}  # kernel -> (text, text) -> score
+    empties: dict[bytes, np.ndarray] = {}  # table key -> mask of the pairs with an empty side
+    runs: list[tuple[int, np.ndarray, np.ndarray]] = []  # (scorer index, row, empty-pair mask)
+    for cfg, table in token_tables(list(ids), readers):
+        key = keys[cfg] = table.key
+        if key not in empties:
+            empties[key] = table.lengths[pair_index].min(axis=1) == 0
+        batch = text_pairs = None
+        for k in readers[cfg]:
+            scorer = scorers[k]
+            if (scorer.kernel, key) not in memo:
+                if scorer.score_pairs is None:
+                    batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
+                    memo[scorer.kernel, key] = batch[scorer.measure_id]
+                else:
+                    texts = table.texts
+                    text_pairs = text_pairs or [(texts[a], texts[b]) for a, b in pairs]
+                    memo[scorer.kernel, key] = _memo_row(scorer, text_pairs, pair_memo.setdefault(scorer.kernel, {}))
+            if all(v in keys for v in scorer.views):
+                rows = [memo[scorer.kernel, keys[v]] for v in scorer.views]
+                runs.append((k, rows[0] if len(rows) == 1 else ontosim.com(*rows),
+                             np.any([empties[keys[v]] for v in scorer.views], axis=0)))
+    table = None  # the last table holds the plan's vocabulary: free it before the datasets are yielded
     annotated = dict.fromkeys(s.measure_id for s in scorers if any(v.ner == "annotations" for v in s.views))
     for dataset, start, stop in zip(datasets, bounds, bounds[1:]):
         if not any(s.annotations for p in dataset.pairs for s in (p.s1, p.s2)):
@@ -254,7 +285,7 @@ def score_runs(scorers: list[PairScorer], datasets: Sequence[Dataset]
         here: dict[bytes, int] = {}  # a row's bytes on this dataset -> row here
         mine = []
         for k, row, empty in runs:
-            part = rows[row][start:stop]
+            part = row[start:stop]
             i = here.setdefault(part.tobytes(), len(here))
             if i == len(columns):
                 columns.append(part)
@@ -263,49 +294,6 @@ def score_runs(scorers: list[PairScorer], datasets: Sequence[Dataset]
         scores = [tuple(r) for r in matrix.tolist()]
         yield matrix, [(k, BenchmarkRun(dataset.name, scorers[k].measure_id, scorers[k].config.label(),
                                         scores[i]), i, empty) for k, i, empty in mine]
-
-
-def _score_tables(scorers: list[PairScorer], sentences: list[RawSentence], pairs: list[tuple[int, int]]
-                  ) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
-    """The rows of :func:`score_runs` over the plan's pairs of sentences:
-    the rows, and each run as (scorer index, row, empty-pair mask)."""
-    pair_index = np.array(pairs)
-    readers: dict[PreprocessConfig, list[int]] = {}
-    for k, scorer in enumerate(scorers):
-        for view in scorer.views:
-            readers.setdefault(view, []).append(k)
-    memo: dict[tuple[str, bytes], int] = {}  # (kernel, table key) -> row
-    pair_memo: dict[str, dict[tuple[str, str], float]] = {}  # kernel -> (text, text) -> score
-    empties: dict[bytes, np.ndarray] = {}  # table key -> mask of the pairs with an empty side
-    rows: list[np.ndarray] = []
-    view_rows: dict[int, dict[PreprocessConfig, tuple[int, np.ndarray]]] = {}  # com's views so far: row, mask
-    runs: list[tuple[int, int, np.ndarray]] = []
-    for cfg, table in token_tables(sentences, readers):
-        key = table.key
-        if key not in empties:
-            empties[key] = table.lengths[pair_index].min(axis=1) == 0
-        batch = text_pairs = None
-        for k in readers[cfg]:
-            scorer, empty = scorers[k], empties[key]
-            row = memo.get((scorer.kernel, key))
-            if row is None:
-                if scorer.score_pairs is None:
-                    batch = batch or strsim.token_pair_scores(table.ids, table.lengths, len(table.vocab), pair_index)
-                    rows.append(batch[scorer.measure_id])
-                else:
-                    texts = table.texts
-                    text_pairs = text_pairs or [(texts[a], texts[b]) for a, b in pairs]
-                    rows.append(_memo_row(scorer, text_pairs, pair_memo.setdefault(scorer.kernel, {})))
-                row = memo[scorer.kernel, key] = len(rows) - 1
-            if len(scorer.views) > 1:
-                done = view_rows.setdefault(k, {})
-                done[cfg] = row, empty
-                if len(done) < len(scorer.views):
-                    continue
-                rows.append(ontosim.com(*(rows[done[v][0]] for v in scorer.views)))
-                row, empty = len(rows) - 1, np.any([done[v][1] for v in scorer.views], axis=0)
-            runs.append((k, row, empty))
-    return rows, runs
 
 
 def _memo_row(scorer: PairScorer, pairs: list[tuple[str, str]],

@@ -237,6 +237,8 @@ def _cmd_error_analysis(args) -> int:
 
 
 def _cmd_throughput(args) -> int:
+    if args.repeats < 3:  # refused before any load, in bench.throughput's words
+        raise PlanError(f"repeats must be >= 3, got {args.repeats}")
     _, [scorer], dataset = _single_dataset(args, one_measure="throughput")
     rate = bench.throughput(scorer, dataset, repeats=args.repeats)
     print(f"{scorer.measure_id}: {rate:.2f} pairs/sec "

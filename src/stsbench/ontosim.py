@@ -102,7 +102,8 @@ class Taxonomy:
 
     def subsumer_count(self, concept: str) -> int:
         """Number of ancestors of the concept, including itself."""
-        return len(self.ancestors(concept))
+        self._require(concept)
+        return len(self._walk_up(concept))
 
     def leaf_count(self, concept: str) -> int:
         """Number of leaves subsumed by the concept (itself, if a leaf)."""
@@ -238,9 +239,11 @@ def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],
     """Cosine of the two semantic vectors over the joint word set.
 
     Component i of each vector is the best word similarity between the
-    i-th joint word and any word of the corresponding sentence. An
-    all-zero vector yields similarity 0. The cosine is clamped to 1, which
-    rounding exceeds for equal vectors.
+    i-th joint word and any word of the corresponding sentence. Neither
+    vector is all zero: the word sets are non-empty and each vector has a
+    1.0 component for every word its sentence holds, so both norms are at
+    least 1. The cosine is clamped to 1, which rounding exceeds for equal
+    vectors.
 
     ``word_sim(w, w)`` must be exactly 1.0 and no score may exceed 1.0, so
     the component of a word the sentence holds is 1.0 without a call. Rada
@@ -257,8 +260,6 @@ def semantic_vector_sim(set1: Iterable[str], set2: Iterable[str],
     dot = sum(a * b for a, b in zip(v1, v2))
     n1 = math.sqrt(sum(a * a for a in v1))
     n2 = math.sqrt(sum(b * b for b in v2))
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.0
     return min(1.0, dot / (n1 * n2))
 
 

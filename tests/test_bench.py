@@ -753,6 +753,16 @@ def test_significance_rejects_fewer_than_one_split_before_scoring(tmp_path, caps
                                        "dataset 'd' of 20 pairs\n")
 
 
+@pytest.mark.parametrize("repeats", ["2", "0", "-1"])
+def test_throughput_rejects_fewer_than_three_repeats_before_any_load(tmp_path, capsys, monkeypatch, repeats):
+    path = tmp_path / "d.tsv"
+    write_dataset(make_dataset(np.random.default_rng(0), 20), path)
+    monkeypatch.setattr(bench, "validate_plan", lambda *a: pytest.fail("loaded before the --repeats check"))
+    assert cli.main(["throughput", "--dataset", f"d={path}", "--measure", "block",
+                     "--repeats", repeats]) == 1
+    assert capsys.readouterr().err == f"error: repeats must be >= 3, got {repeats}\n"
+
+
 def test_significance_rejects_a_dataset_too_small_to_split(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d.tsv"
     write_dataset(make_dataset(np.random.default_rng(0), 3), path)
@@ -929,16 +939,27 @@ def test_ubsm_and_com_score_their_views_bit_for_bit(tmp_path, rng):
         assert np.array(run.scores).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("annotated, calls, n_rows", [(False, 20, 1), (True, 40, 3)])
-def test_wbsm_measures_score_each_table_once(tmp_path, monkeypatch, annotated, calls, n_rows):
+_WBSM_FIRST = ("wbsm-rada", "ubsm-rada", "com"), [0, 1, 2]
+_COM_FIRST = ("com", "ubsm-rada", "wbsm-rada"), [2, 0, 1]  # runs come in scoring order
+
+
+@pytest.mark.parametrize("annotated, calls, n_rows, measures, order", [
+    pytest.param(False, 20, 1, *_WBSM_FIRST, id="False-20-1"),
+    pytest.param(True, 40, 3, *_WBSM_FIRST, id="True-40-3"),
+    pytest.param(False, 20, 1, *_COM_FIRST, id="False-20-1-com-first"),
+    pytest.param(True, 40, 3, *_COM_FIRST, id="True-40-3-com-first"),
+])
+def test_wbsm_measures_score_each_table_once(tmp_path, monkeypatch, annotated, calls, n_rows, measures, order):
     # wbsm-rada, ubsm-rada and com share one kernel: without annotations both
     # views are one table, scored once, and com's combined row, 0.5 * w +
-    # 0.5 * w, is that row w bit for bit, so the matrix has one row
+    # 0.5 * w, is that row w bit for bit, so the matrix has one row. Listed
+    # first, com's own reads fill the rows that the other two reuse, and its
+    # run comes when its last view, ner=annotations, is scored
     from dataclasses import replace
     from stsbench.core import Annotation, SentencePair
     tax_path, lex_path = _onto_files(tmp_path)
     plan, ds = _plan(tmp_path, np.random.default_rng(3), [MeasureSpec(m, [PreprocessConfig()])
-                                                           for m in ("wbsm-rada", "ubsm-rada", "com")],
+                                                           for m in measures],
                      n_pairs=20, taxonomy=tax_path, lexicon=lex_path)
     if annotated:
         ds = Dataset(ds.name, tuple(SentencePair(replace(p.s1, annotations=(Annotation(0, 1, "C0001"),)), p.s2,
@@ -952,7 +973,8 @@ def test_wbsm_measures_score_each_table_once(tmp_path, monkeypatch, annotated, c
         monkeypatch.setattr(ontosim, "semantic_vector_sim", lambda *a: counted.append(1) or svs(*a))
         matrix, runs = next(bench.score_runs(scorers, [ds]))
     assert (len(counted), len(matrix)) == (calls, n_rows)
-    assert [[run.scores] for _, run, _, _ in runs] == alone
+    assert [k for k, _, _, _ in runs] == order
+    assert [[run.scores] for _, run, _, _ in runs] == [alone[k] for k in order]
 
 
 # Templates that make the grid's options matter on ``make_dataset`` text:
